@@ -18,7 +18,8 @@ cargo build --release --workspace
 # The tier-1 test pass, split per suite so every binary gets a wall-clock
 # reading and a hard budget: a test binary that crosses 120s has outgrown
 # the machine and must be split or slimmed, not waited on. Together these
-# invocations cover exactly what `cargo test -q` runs.
+# invocations cover exactly what `cargo test -q` runs, plus the
+# benchmark's own checks at the end.
 BUDGET_S=120
 slowest_name=""
 slowest_s=0
@@ -73,6 +74,10 @@ timed_test "determinism_matrix"       --test determinism_matrix
 timed_test "multihoming_vcg"          --test multihoming_vcg
 timed_test "principles_integration"   --test principles_integration
 timed_test "routing_integration"      --test routing_integration
+# The benchmark's own checks. perfbench/ is a package of its own, outside
+# the workspace. Its tests plant a bug in front of each output check to
+# show the check fails, and pin its metric lists to BENCHMARK.json.
+timed_test "perfbench checks"         --release --offline --manifest-path perfbench/Cargo.toml
 echo "slowest suite: '${slowest_name}' at ${slowest_s}s"
 echo "golden reports OK (regenerate intentional changes with UPDATE_GOLDEN=1)"
 

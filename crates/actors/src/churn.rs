@@ -60,7 +60,7 @@ impl ChurnProcess {
 
     fn admit_one(&mut self, net: &mut ActorNetwork, rng: &mut SimRng) {
         self.entrants += 1;
-        let stances: Vec<f64> = (0..net.issue_count).map(|_| rng.range(-1.0..1.0f64)).collect();
+        let stances: Vec<f64> = (0..net.issue_count()).map(|_| rng.range(-1.0..1.0f64)).collect();
         let kind = if rng.chance(0.5) { ActorKind::Human } else { ActorKind::Technology };
         let name = format!("entrant-{}", self.entrants);
         let id = net.add_actor(kind, &name, stances);

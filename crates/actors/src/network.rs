@@ -1,7 +1,6 @@
 //! Actors, alignment, durability, tussle energy.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Index of an actor in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -11,18 +10,6 @@ impl ActorId {
     /// Usable as a vector index.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-}
-
-// Lets `ActorId` (and pairs of them) key serialized relation maps.
-impl serde::StringKey for ActorId {
-    fn to_key(&self) -> String {
-        self.0.to_string()
-    }
-    fn from_key(key: &str) -> Result<Self, serde::DeError> {
-        key.parse()
-            .map(ActorId)
-            .map_err(|_| serde::DeError(format!("invalid ActorId map key `{key}`")))
     }
 }
 
@@ -39,7 +26,8 @@ pub enum ActorKind {
     Institution,
 }
 
-/// An actor with stances on a fixed set of issues (-1.0 .. 1.0 per issue).
+/// An actor. Its stances live in the network's dense stance table; read
+/// them with [`ActorNetwork::stances`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Actor {
     /// Identifier.
@@ -48,35 +36,45 @@ pub struct Actor {
     pub kind: ActorKind,
     /// Display name.
     pub name: String,
-    /// Stances on the network's issue axes.
-    pub stances: Vec<f64>,
     /// Whether the actor is still present.
     pub active: bool,
 }
 
 /// The actor network: actors plus pairwise alignment in `[0, 1]`.
+///
+/// Storage is two flat arrays. `stances` holds every actor's stances
+/// (-1.0 .. 1.0 per issue) back to back, `issue_count` per actor, indexed
+/// by [`ActorId`]. `edges` holds one `(low, high, strength)` entry per
+/// aligned pair, sorted by `(low, high)`. That order is part of the
+/// golden contract: [`relax`](Self::relax) updates stances in place one
+/// edge after another, so a different order gives different floats.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ActorNetwork {
     actors: Vec<Actor>,
-    /// alignment keyed by (low id, high id)
-    alignment: BTreeMap<(ActorId, ActorId), f64>,
-    /// Number of issue axes every actor has a stance on.
-    pub issue_count: usize,
+    stances: Vec<f64>,
+    edges: Vec<(ActorId, ActorId, f64)>,
+    issue_count: usize,
 }
 
 impl ActorNetwork {
     /// A network with the given number of issue axes.
     pub fn new(issue_count: usize) -> Self {
-        ActorNetwork { actors: Vec::new(), alignment: BTreeMap::new(), issue_count }
+        ActorNetwork { actors: Vec::new(), stances: Vec::new(), edges: Vec::new(), issue_count }
+    }
+
+    /// Number of issue axes every actor has a stance on.
+    pub fn issue_count(&self) -> usize {
+        self.issue_count
     }
 
     /// Add an actor; stances are clamped to `[-1, 1]` and padded/truncated
     /// to the issue count.
     pub fn add_actor(&mut self, kind: ActorKind, name: &str, stances: Vec<f64>) -> ActorId {
         let id = ActorId(self.actors.len() as u32);
-        let mut s: Vec<f64> = stances.into_iter().map(|v| v.clamp(-1.0, 1.0)).collect();
-        s.resize(self.issue_count, 0.0);
-        self.actors.push(Actor { id, kind, name: name.to_owned(), stances: s, active: true });
+        let given = stances.len().min(self.issue_count);
+        self.stances.extend(stances[..given].iter().map(|v| v.clamp(-1.0, 1.0)));
+        self.stances.resize(self.stances.len() + self.issue_count - given, 0.0);
+        self.actors.push(Actor { id, kind, name: name.to_owned(), active: true });
         id
     }
 
@@ -85,12 +83,18 @@ impl ActorNetwork {
         if let Some(a) = self.actors.get_mut(id.index()) {
             a.active = false;
         }
-        self.alignment.retain(|(x, y), _| *x != id && *y != id);
+        self.edges.retain(|(x, y, _)| *x != id && *y != id);
     }
 
     /// Actor accessor.
     pub fn actor(&self, id: ActorId) -> &Actor {
         &self.actors[id.index()]
+    }
+
+    /// An actor's stances, one per issue axis.
+    pub fn stances(&self, id: ActorId) -> &[f64] {
+        let start = id.index() * self.issue_count;
+        &self.stances[start..start + self.issue_count]
     }
 
     /// Active actors.
@@ -111,48 +115,58 @@ impl ActorNetwork {
         }
     }
 
+    /// Where the edge keyed `(low, high)` sits in the sorted edge list, or
+    /// where it would be inserted.
+    fn find(&self, key: (ActorId, ActorId)) -> Result<usize, usize> {
+        self.edges.binary_search_by_key(&key, |(x, y, _)| (*x, *y))
+    }
+
     /// Set the alignment strength between two actors.
     pub fn align(&mut self, a: ActorId, b: ActorId, strength: f64) {
         if a == b {
             return;
         }
-        self.alignment.insert(Self::key(a, b), strength.clamp(0.0, 1.0));
+        let strength = strength.clamp(0.0, 1.0);
+        let (lo, hi) = Self::key(a, b);
+        match self.find((lo, hi)) {
+            Ok(i) => self.edges[i].2 = strength,
+            Err(i) => self.edges.insert(i, (lo, hi, strength)),
+        }
     }
 
     /// Current alignment between two actors (0 when none recorded).
     pub fn alignment(&self, a: ActorId, b: ActorId) -> f64 {
-        self.alignment.get(&Self::key(a, b)).copied().unwrap_or(0.0)
+        self.find(Self::key(a, b)).map_or(0.0, |i| self.edges[i].2)
     }
 
     /// Interest conflict between two actors: half the mean absolute stance
     /// gap, in `[0, 1]`.
     pub fn conflict(&self, a: ActorId, b: ActorId) -> f64 {
-        let sa = &self.actors[a.index()].stances;
-        let sb = &self.actors[b.index()].stances;
-        if sa.is_empty() {
+        if self.issue_count == 0 {
             return 0.0;
         }
+        let (sa, sb) = (self.stances(a), self.stances(b));
         let total: f64 = sa.iter().zip(sb).map(|(x, y)| (x - y).abs()).sum();
-        (total / sa.len() as f64) / 2.0
+        (total / self.issue_count as f64) / 2.0
+    }
+
+    /// Whether both endpoints of an edge are still present.
+    fn live(&self, a: ActorId, b: ActorId) -> bool {
+        self.actors[a.index()].active && self.actors[b.index()].active
     }
 
     /// Durability (Latour): mean alignment over aligned pairs, weighted ×2
     /// when either endpoint is Technology — technology anchors the network.
     /// Zero when nothing is aligned.
     pub fn durability(&self) -> f64 {
+        let tech = |id: ActorId| self.actors[id.index()].kind == ActorKind::Technology;
         let mut weight_sum = 0.0;
         let mut value_sum = 0.0;
-        for ((a, b), s) in &self.alignment {
-            let aa = &self.actors[a.index()];
-            let bb = &self.actors[b.index()];
-            if !aa.active || !bb.active {
+        for &(a, b, s) in &self.edges {
+            if !self.live(a, b) {
                 continue;
             }
-            let w = if aa.kind == ActorKind::Technology || bb.kind == ActorKind::Technology {
-                2.0
-            } else {
-                1.0
-            };
+            let w = if tech(a) || tech(b) { 2.0 } else { 1.0 };
             weight_sum += w;
             value_sum += w * s;
         }
@@ -166,32 +180,34 @@ impl ActorNetwork {
     /// Tussle energy: total unresolved conflict over *aligned* pairs —
     /// actors who must work together but want different things.
     pub fn tussle_energy(&self) -> f64 {
-        self.alignment
+        self.edges
             .iter()
-            .filter(|((a, b), _)| self.actors[a.index()].active && self.actors[b.index()].active)
-            .map(|((a, b), s)| s * self.conflict(*a, *b))
+            .filter(|(a, b, _)| self.live(*a, *b))
+            .map(|(a, b, s)| s * self.conflict(*a, *b))
             .sum()
     }
 
     /// One relaxation step: aligned actors pull each other's stances
     /// together at `rate` (tussles get resolved; the network hardens).
+    /// Edges are visited in `(low, high)` order and each updates the
+    /// stance table in place.
     pub fn relax(&mut self, rate: f64) {
-        let pairs: Vec<(ActorId, ActorId, f64)> =
-            self.alignment.iter().map(|((a, b), s)| (*a, *b, *s)).collect();
-        for (a, b, s) in pairs {
+        let k = self.issue_count;
+        for (a, b, s) in self.edges.iter_mut() {
             if !self.actors[a.index()].active || !self.actors[b.index()].active {
                 continue;
             }
-            for i in 0..self.issue_count {
-                let xa = self.actors[a.index()].stances[i];
-                let xb = self.actors[b.index()].stances[i];
-                let pull = rate * s * (xb - xa) / 2.0;
-                self.actors[a.index()].stances[i] = (xa + pull).clamp(-1.0, 1.0);
-                self.actors[b.index()].stances[i] = (xb - pull).clamp(-1.0, 1.0);
+            // a < b: the low actor's row sits wholly before the high one's
+            let (head, tail) = self.stances.split_at_mut(b.index() * k);
+            let sa = &mut head[a.index() * k..a.index() * k + k];
+            let sb = &mut tail[..k];
+            for (xa, xb) in sa.iter_mut().zip(sb.iter_mut()) {
+                let pull = rate * *s * (*xb - *xa) / 2.0;
+                *xa = (*xa + pull).clamp(-1.0, 1.0);
+                *xb = (*xb - pull).clamp(-1.0, 1.0);
             }
             // working together also strengthens the tie
-            let e = self.alignment.get_mut(&Self::key(a, b)).expect("pair existed");
-            *e = (*e + rate * 0.1).min(1.0);
+            *s = (*s + rate * 0.1).min(1.0);
         }
     }
 }
@@ -212,7 +228,7 @@ mod tests {
     fn stances_clamped_and_padded() {
         let mut n = ActorNetwork::new(3);
         let a = n.add_actor(ActorKind::Human, "a", vec![5.0]);
-        assert_eq!(n.actor(a).stances, vec![1.0, 0.0, 0.0]);
+        assert_eq!(n.stances(a), [1.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Microbenchmarks for every substrate the experiments run on: the event
 //! engine, forwarding, routing protocols, the policy language, the game
-//! solvers, the market and the ledger.
+//! solvers, the market, the ledger and the actor network.
 //!
 //! ```sh
 //! cargo bench -p tussle-bench --bench substrates
@@ -9,6 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use tussle_actors::{ActorKind, ActorNetwork, ChurnProcess};
 use tussle_core::{EscalationLadder, Mechanism};
 use tussle_econ::{Consumer, Ledger, Market, Money, Provider};
 use tussle_game::{FictitiousPlay, Game};
@@ -226,6 +227,36 @@ fn bench_sourceroute(c: &mut Criterion) {
     });
 }
 
+/// E12's founding population grown by `ChurnProcess::new(2.0)` for 600
+/// steps: ~1,200 actors and ~3,600 alignment edges.
+fn churned_network() -> ActorNetwork {
+    let mut net = ActorNetwork::new(3);
+    let users = net.add_actor(ActorKind::Human, "users", vec![0.9, -0.4, 0.1]);
+    let isp = net.add_actor(ActorKind::Institution, "isp", vec![-0.8, 0.6, 0.0]);
+    let ip = net.add_actor(ActorKind::Technology, "ip", vec![0.0, 0.0, 0.0]);
+    let law = net.add_actor(ActorKind::Institution, "telecom-law", vec![-0.2, 0.8, -0.5]);
+    net.align(users, ip, 0.7);
+    net.align(isp, ip, 0.7);
+    net.align(isp, law, 0.5);
+    net.align(users, isp, 0.4);
+    let mut churn = ChurnProcess::new(2.0);
+    let mut rng = SimRng::seed_from_u64(2002);
+    for _ in 0..600 {
+        churn.step(&mut net, &mut rng);
+    }
+    net
+}
+
+fn bench_actors(c: &mut Criterion) {
+    // Relaxing the same network over and over moves its stances and tie
+    // strengths but not its edges, and the per-edge work is the same
+    // whatever those values are.
+    let mut net = churned_network();
+    c.bench_function("actors/relax_1200", |b| b.iter(|| net.relax(black_box(0.05))));
+    let net = churned_network();
+    c.bench_function("actors/energy_1200", |b| b.iter(|| black_box(net.tussle_energy())));
+}
+
 criterion_group!(
     benches,
     bench_engine,
@@ -239,5 +270,6 @@ criterion_group!(
     bench_ledger,
     bench_escalation,
     bench_sourceroute,
+    bench_actors,
 );
 criterion_main!(benches);
