@@ -47,6 +47,7 @@ timed_test "workspace doctests"    --workspace --doc
 timed_test "actors/prop_actors"            -p tussle-actors      --test prop_actors
 timed_test "econ/prop_ledger"              -p tussle-econ        --test prop_ledger
 timed_test "experiments/chaos_campaign"    -p tussle-experiments --test chaos_campaign
+timed_test "experiments/par_map_ordered"   -p tussle-experiments --test par_map_ordered
 timed_test "experiments/prop_recovery"     -p tussle-experiments --test prop_recovery
 timed_test "experiments/recovery_oracle"   -p tussle-experiments --test recovery_oracle
 timed_test "game/prop_games"               -p tussle-game        --test prop_games
@@ -92,6 +93,26 @@ echo "$chaos_json" | jq -e '
   and ([.experiments[].intensities[].sweep.digest | test("^[0-9a-f]{16}$")] | all)
 ' > /dev/null
 echo "chaos smoke OK: 17 experiments, schema valid, digests present"
+
+echo "==> grid determinism: sweep and chaos JSON identical at 1/2/8 threads"
+grid_start=$(date +%s)
+for campaign in "sweep --seeds 2 --only E1,E4,E9" "chaos --seeds 2 --intensities 0,0.2 --only E1,E4"; do
+  # $campaign is left unquoted on purpose: it splits into its arguments.
+  reference="$(./target/release/tussle-cli $campaign --json --threads 1)"
+  for t in 2 8; do
+    threaded="$(./target/release/tussle-cli $campaign --json --threads "$t")"
+    if [[ "$threaded" != "$reference" ]]; then
+      echo "FAIL: '$campaign --json' changed at --threads $t" >&2
+      exit 1
+    fi
+  done
+done
+grid_elapsed=$(( $(date +%s) - grid_start ))
+if (( grid_elapsed > BUDGET_S )); then
+  echo "FAIL: grid determinism step exceeded the ${BUDGET_S}s budget (${grid_elapsed}s)" >&2
+  exit 1
+fi
+echo "grid determinism OK: sweep and chaos byte-identical at 1/2/8 threads (${grid_elapsed}s)"
 
 echo "==> profile smoke: self-profiling JSON, schema-checked"
 profile_json="$(./target/release/tussle-cli profile --only E10 --json)"

@@ -454,7 +454,7 @@ pub enum Command {
         intensity_b: f64,
         /// Emit JSON instead of text.
         json: bool,
-        /// Worker-thread cap (`None` = one thread per side).
+        /// Worker-thread cap (`None` = available parallelism, capped at 2).
         threads: Option<usize>,
     },
     /// Dump the structured trace stream of one or more experiments.
@@ -639,7 +639,7 @@ fn parse_single_only(v: &str) -> Result<String, UsageError> {
 }
 
 /// Parse a `--threads` worker count. Zero workers cannot make progress, so
-/// it is rejected uniformly across `sweep`, `chaos` and `diff`.
+/// it is rejected uniformly by every subcommand that takes `--threads`.
 fn parse_threads(v: &str) -> Result<usize, UsageError> {
     let n: usize = v.parse().map_err(|_| UsageError(format!("bad thread count '{v}'")))?;
     if n == 0 {
@@ -682,153 +682,206 @@ fn parse_intensities(v: &str) -> Result<Vec<f64>, UsageError> {
         .collect()
 }
 
+/// Parse a `u64` value, naming `what` in the error (`bad seed '7x'`).
+fn parse_u64(v: &str, what: &str) -> Result<u64, UsageError> {
+    v.parse().map_err(|_| UsageError(format!("bad {what} '{v}'")))
+}
+
+/// Parse a count that must be nonzero (`--seeds`, `--kills`, `--budget`).
+fn parse_count(flag: &str, v: &str, what: &str) -> Result<u64, UsageError> {
+    let n = parse_u64(v, what)?;
+    if n == 0 {
+        return Err(UsageError(format!("{flag} must be at least 1")));
+    }
+    Ok(n)
+}
+
+/// One entry of the flag table: the flag and, for a flag that takes a
+/// value, the hint a missing value prints (`--seed needs a value`).
+/// `None` marks a switch.
+type Flag = (&'static str, Option<&'static str>);
+
+const SEED: Flag = ("--seed", Some("a value"));
+const SEEDS: Flag = ("--seeds", Some("a count"));
+const BASE: Flag = ("--base", Some("a seed"));
+const ONLY: Flag = ("--only", Some("ids like E1,E4"));
+const ONLY_ONE: Flag = ("--only", Some("one id like E9"));
+const JSON: Flag = ("--json", None);
+const THREADS: Flag = ("--threads", Some("a count"));
+const EVERY: Flag = ("--every", Some("an event count"));
+
+/// The flags each subcommand accepts. Subcommands not listed here
+/// (`help`, `list`, `ladder`, `mechanisms`) take no flags.
+const FLAGS: &[(&str, &[Flag])] = &[
+    ("experiments", &[SEED, JSON, ONLY]),
+    ("profile", &[SEED, JSON, ("--collapsed", None), ONLY]),
+    ("trace", &[SEED, ONLY, ("--grep", Some("a topic prefix like econ.")), JSON]),
+    ("explain", &[ONLY_ONE, ("--event", Some("an id like e7")), SEED, JSON]),
+    (
+        "diff",
+        &[
+            ONLY_ONE,
+            SEED,
+            ("--seed-b", Some("a value")),
+            ("--intensity", Some("a value")),
+            ("--intensity-b", Some("a value")),
+            JSON,
+            THREADS,
+        ],
+    ),
+    ("sweep", &[SEEDS, BASE, ONLY, JSON, THREADS]),
+    (
+        "chaos",
+        &[("--intensities", Some("values like 0,0.2,0.5")), SEEDS, BASE, ONLY, JSON, THREADS],
+    ),
+    ("checkpoint", &[ONLY_ONE, ("--dir", Some("a path")), EVERY, SEED, JSON]),
+    ("resume", &[("--from", Some("a snapshot file")), JSON]),
+    ("recovery", &[SEEDS, BASE, ("--kills", Some("a count")), EVERY, ONLY, JSON, THREADS]),
+    (
+        "fuzz",
+        &[
+            ("--budget", Some("a count")),
+            SEEDS,
+            BASE,
+            JSON,
+            ("--corpus", Some("a directory")),
+            THREADS,
+        ],
+    ),
+    (
+        "export",
+        &[
+            SEED,
+            ONLY,
+            ("--format", Some("chrome, prom or jsonl")),
+            ("--out", Some("a file path")),
+            THREADS,
+        ],
+    ),
+    (
+        "health",
+        &[("--bench", Some("a sidecar file")), ("--baseline", Some("a sidecar file")), JSON],
+    ),
+];
+
+/// The flags one command line gave, in order, each checked against its
+/// subcommand's row of [`FLAGS`]; switches carry no value.
+struct Given<'a>(Vec<(&'static str, Option<&'a str>)>);
+
+impl<'a> Given<'a> {
+    /// One pass over the arguments: each must be a flag `table` allows,
+    /// given at most once (a repeat would silently mask the first value)
+    /// and, unless a switch, followed by its value.
+    fn scan(table: &[Flag], args: &'a [String]) -> Result<Self, UsageError> {
+        let mut given = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(&(name, hint)) = table.iter().find(|(name, _)| name == arg) else {
+                return Err(UsageError(format!("unknown flag '{arg}'")));
+            };
+            if given.iter().any(|(seen, _)| *seen == name) {
+                return Err(UsageError(format!("{name} given twice")));
+            }
+            let value = match hint {
+                None => None,
+                Some(hint) => Some(
+                    it.next().ok_or_else(|| UsageError(format!("{name} needs {hint}")))?.as_str(),
+                ),
+            };
+            given.push((name, value));
+        }
+        Ok(Given(given))
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.0.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The value of flag `name` through `parse`, or `None` if not given.
+    fn get<T>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, UsageError>,
+    ) -> Result<Option<T>, UsageError> {
+        self.0.iter().find(|(n, _)| *n == name).and_then(|(_, v)| *v).map(parse).transpose()
+    }
+
+    /// The value of flag `name` through `parse`, or `default`.
+    fn or<T>(
+        &self,
+        name: &str,
+        default: T,
+        parse: impl FnOnce(&str) -> Result<T, UsageError>,
+    ) -> Result<T, UsageError> {
+        Ok(self.get(name, parse)?.unwrap_or(default))
+    }
+
+    fn string(&self, name: &str) -> Option<String> {
+        self.0.iter().find(|(n, _)| *n == name).and_then(|(_, v)| v.map(str::to_owned))
+    }
+}
+
 /// Parse the argument vector (without the binary name).
 pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
-    let mut it = args.iter();
-    match it.next().map(|s| s.as_str()) {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(Command::Help),
-        Some("list") => Ok(Command::List),
-        Some("mechanisms") => Ok(Command::Mechanisms),
-        Some("ladder") => {
+    let Some((command, rest)) = args.split_first() else { return Ok(Command::Help) };
+    let command = command.as_str();
+    match command {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        "list" => return Ok(Command::List),
+        "mechanisms" => return Ok(Command::Mechanisms),
+        "ladder" => {
             let name =
-                it.next().ok_or_else(|| UsageError("ladder needs a mechanism name".into()))?;
-            Ok(Command::Ladder { mechanism: parse_mechanism(name)? })
+                rest.first().ok_or_else(|| UsageError("ladder needs a mechanism name".into()))?;
+            return Ok(Command::Ladder { mechanism: parse_mechanism(name)? });
         }
-        Some("experiments") => {
-            let mut seed = 2002u64;
-            let mut json = false;
-            let mut only = Vec::new();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--json" => json = true,
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Experiments { seed, json, only })
-        }
-        Some("profile") => {
-            let mut seed = 2002u64;
-            let mut json = false;
-            let mut collapsed = false;
-            let mut only = Vec::new();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--json" => json = true,
-                    "--collapsed" => collapsed = true,
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+        _ => {}
+    }
+    let table = FLAGS
+        .iter()
+        .find(|(name, _)| *name == command)
+        .ok_or_else(|| UsageError(format!("unknown command '{command}'; try `tussle-cli help`")))?;
+    let g = Given::scan(table.1, rest)?;
+    let seed = g.or("--seed", 2002, |v| parse_u64(v, "seed"))?;
+    let json = g.switch("--json");
+    let threads = g.get("--threads", parse_threads)?;
+    let only = || g.or("--only", Vec::new(), parse_only);
+    let seeds = |default| g.or("--seeds", default, |v| parse_count("--seeds", v, "seed count"));
+    let base_seed = |default| g.or("--base", default, |v| parse_u64(v, "base seed"));
+    Ok(match command {
+        "experiments" => Command::Experiments { seed, json, only: only()? },
+        "profile" => {
+            let only = only()?;
+            let collapsed = g.switch("--collapsed");
             if collapsed && json {
                 return Err(UsageError(
                     "--collapsed emits flamegraph-ready text; it cannot combine with --json".into(),
                 ));
             }
-            Ok(Command::Profile { seed, json, collapsed, only })
+            Command::Profile { seed, json, collapsed, only }
         }
-        Some("explain") => {
-            let mut seed = 2002u64;
-            let mut json = false;
-            let mut id = None;
-            let mut event = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--json" => json = true,
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs one id like E9".into()))?;
-                        id = Some(parse_single_only(v)?);
-                    }
-                    "--event" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--event needs an id like e7".into()))?;
-                        event =
-                            Some(experiments::causality::parse_event_id(v).map_err(UsageError)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
+        "trace" => {
+            let grep = g.get("--grep", |v| {
+                if v.is_empty() {
+                    return Err(UsageError("--grep needs a nonempty prefix".into()));
                 }
-            }
+                Ok(v.to_owned())
+            })?;
+            Command::Trace { seed, only: only()?, grep, json }
+        }
+        "explain" => {
+            let id = g.get("--only", parse_single_only)?;
+            let event = g.get("--event", |v| {
+                experiments::causality::parse_event_id(v).map_err(UsageError)
+            })?;
             let id = id.ok_or_else(|| UsageError("explain needs --only <experiment>".into()))?;
             let event = event.ok_or_else(|| UsageError("explain needs --event <id>".into()))?;
-            Ok(Command::Explain { id, seed, event, json })
+            Command::Explain { id, seed, event, json }
         }
-        Some("diff") => {
-            let mut id = None;
-            let mut seed = 2002u64;
-            let mut seed_b = None;
-            let mut intensity = 0.0;
-            let mut intensity_b = None;
-            let mut json = false;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs one id like E9".into()))?;
-                        id = Some(parse_single_only(v)?);
-                    }
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--seed-b" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed-b needs a value".into()))?;
-                        seed_b =
-                            Some(v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?);
-                    }
-                    "--intensity" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--intensity needs a value".into()))?;
-                        intensity = parse_intensity(v)?;
-                    }
-                    "--intensity-b" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--intensity-b needs a value".into()))?;
-                        intensity_b = Some(parse_intensity(v)?);
-                    }
-                    "--json" => json = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+        "diff" => {
+            let id = g.get("--only", parse_single_only)?;
+            let seed_b = g.get("--seed-b", |v| parse_u64(v, "seed"))?;
+            let intensity = g.or("--intensity", 0.0, parse_intensity)?;
+            let intensity_b = g.get("--intensity-b", parse_intensity)?;
             let id = id.ok_or_else(|| UsageError("diff needs --only <experiment>".into()))?;
             // Unspecified B-side knobs mirror side A, so `--seed-b` alone
             // diffs seeds and `--intensity-b` alone diffs intensities.
@@ -839,371 +892,82 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
                     "diff needs the sides to differ: give --seed-b and/or --intensity-b".into(),
                 ));
             }
-            Ok(Command::Diff { id, seed, seed_b, intensity, intensity_b, json, threads })
+            Command::Diff { id, seed, seed_b, intensity, intensity_b, json, threads }
         }
-        Some("trace") => {
-            let mut seed = 2002u64;
-            let mut only = Vec::new();
-            let mut grep = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    "--grep" => {
-                        let v = it.next().ok_or_else(|| {
-                            UsageError("--grep needs a topic prefix like econ.".into())
-                        })?;
-                        if v.is_empty() {
-                            return Err(UsageError("--grep needs a nonempty prefix".into()));
-                        }
-                        grep = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
+        "sweep" => Command::Sweep {
+            seeds: seeds(32)?,
+            base_seed: base_seed(1)?,
+            only: only()?,
+            json,
+            threads,
+        },
+        "chaos" => {
+            let d = experiments::ChaosConfig::default();
+            Command::Chaos {
+                intensities: g.or("--intensities", d.intensities, parse_intensities)?,
+                seeds: seeds(d.seeds)?,
+                base_seed: base_seed(d.base_seed)?,
+                only: only()?,
+                json,
+                threads,
             }
-            Ok(Command::Trace { seed, only, grep, json })
         }
-        Some("export") => {
-            let mut seed = 2002u64;
-            let mut only = Vec::new();
-            let mut format = "chrome".to_owned();
-            let mut out = None;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    "--format" => {
-                        let v = it.next().ok_or_else(|| {
-                            UsageError("--format needs chrome, prom or jsonl".into())
-                        })?;
-                        match v.as_str() {
-                            "chrome" | "prom" | "jsonl" => format = v.clone(),
-                            other => {
-                                return Err(UsageError(format!(
-                                "unknown export format '{other}': expected chrome, prom or jsonl"
-                            )))
-                            }
-                        }
-                    }
-                    "--out" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--out needs a file path".into()))?;
-                        out = Some(v.clone());
-                    }
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Export { seed, only, format, out, threads })
-        }
-        Some("health") => {
-            let mut bench = "BENCH_sim.json".to_owned();
-            let mut baseline = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--bench" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--bench needs a sidecar file".into()))?;
-                        bench = v.clone();
-                    }
-                    "--baseline" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--baseline needs a sidecar file".into()))?;
-                        baseline = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Health { bench, baseline, json })
-        }
-        Some("sweep") => {
-            let mut seeds = 32u64;
-            let mut base_seed = 1u64;
-            let mut only = Vec::new();
-            let mut json = false;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seeds" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seeds needs a count".into()))?;
-                        seeds =
-                            v.parse().map_err(|_| UsageError(format!("bad seed count '{v}'")))?;
-                        if seeds == 0 {
-                            return Err(UsageError("--seeds must be at least 1".into()));
-                        }
-                    }
-                    "--base" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--base needs a seed".into()))?;
-                        base_seed =
-                            v.parse().map_err(|_| UsageError(format!("bad base seed '{v}'")))?;
-                    }
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    "--json" => json = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Sweep { seeds, base_seed, only, json, threads })
-        }
-        Some("chaos") => {
-            let defaults = experiments::ChaosConfig::default();
-            let mut intensities = defaults.intensities;
-            let mut seeds = defaults.seeds;
-            let mut base_seed = defaults.base_seed;
-            let mut only = Vec::new();
-            let mut json = false;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--intensities" => {
-                        let v = it.next().ok_or_else(|| {
-                            UsageError("--intensities needs values like 0,0.2,0.5".into())
-                        })?;
-                        intensities = parse_intensities(v)?;
-                    }
-                    "--seeds" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seeds needs a count".into()))?;
-                        seeds =
-                            v.parse().map_err(|_| UsageError(format!("bad seed count '{v}'")))?;
-                        if seeds == 0 {
-                            return Err(UsageError("--seeds must be at least 1".into()));
-                        }
-                    }
-                    "--base" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--base needs a seed".into()))?;
-                        base_seed =
-                            v.parse().map_err(|_| UsageError(format!("bad base seed '{v}'")))?;
-                    }
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    "--json" => json = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Chaos { intensities, seeds, base_seed, only, json, threads })
-        }
-        Some("checkpoint") => {
-            let mut id = None;
-            let mut seed = 2002u64;
-            let mut every = 500u64;
-            let mut dir = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs one id like E9".into()))?;
-                        id = Some(parse_single_only(v)?);
-                    }
-                    "--seed" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seed needs a value".into()))?;
-                        seed = v.parse().map_err(|_| UsageError(format!("bad seed '{v}'")))?;
-                    }
-                    "--every" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--every needs an event count".into()))?;
-                        every = parse_every(v)?;
-                    }
-                    "--dir" => {
-                        let v = it.next().ok_or_else(|| UsageError("--dir needs a path".into()))?;
-                        dir = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
+        "checkpoint" => {
+            let id = g.get("--only", parse_single_only)?;
+            let every = g.or("--every", 500, parse_every)?;
             let id = id.ok_or_else(|| UsageError("checkpoint needs --only <experiment>".into()))?;
-            let dir = dir.ok_or_else(|| UsageError("checkpoint needs --dir <directory>".into()))?;
-            Ok(Command::Checkpoint { id, seed, every, dir, json })
+            let dir = g
+                .string("--dir")
+                .ok_or_else(|| UsageError("checkpoint needs --dir <directory>".into()))?;
+            Command::Checkpoint { id, seed, every, dir, json }
         }
-        Some("resume") => {
-            let mut from = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--from" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--from needs a snapshot file".into()))?;
-                        from = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
+        "resume" => {
+            let from = g
+                .string("--from")
+                .ok_or_else(|| UsageError("resume needs --from <snapshot>".into()))?;
+            Command::Resume { from, json }
+        }
+        "recovery" => {
+            let d = experiments::RecoveryConfig::default();
+            Command::Recovery {
+                seeds: seeds(d.seeds)?,
+                base_seed: base_seed(d.base_seed)?,
+                kills: g
+                    .or("--kills", d.kill_points, |v| parse_count("--kills", v, "kill count"))?,
+                every: g.or("--every", d.every, parse_every)?,
+                only: only()?,
+                json,
+                threads,
             }
-            let from = from.ok_or_else(|| UsageError("resume needs --from <snapshot>".into()))?;
-            Ok(Command::Resume { from, json })
         }
-        Some("recovery") => {
-            let defaults = experiments::RecoveryConfig::default();
-            let mut seeds = defaults.seeds;
-            let mut base_seed = defaults.base_seed;
-            let mut kills = defaults.kill_points;
-            let mut every = defaults.every;
-            let mut only = Vec::new();
-            let mut json = false;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--seeds" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seeds needs a count".into()))?;
-                        seeds =
-                            v.parse().map_err(|_| UsageError(format!("bad seed count '{v}'")))?;
-                        if seeds == 0 {
-                            return Err(UsageError("--seeds must be at least 1".into()));
-                        }
-                    }
-                    "--base" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--base needs a seed".into()))?;
-                        base_seed =
-                            v.parse().map_err(|_| UsageError(format!("bad base seed '{v}'")))?;
-                    }
-                    "--kills" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--kills needs a count".into()))?;
-                        kills =
-                            v.parse().map_err(|_| UsageError(format!("bad kill count '{v}'")))?;
-                        if kills == 0 {
-                            return Err(UsageError("--kills must be at least 1".into()));
-                        }
-                    }
-                    "--every" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--every needs an event count".into()))?;
-                        every = parse_every(v)?;
-                    }
-                    "--only" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--only needs ids like E1,E4".into()))?;
-                        only = parse_only(v)?;
-                    }
-                    "--json" => json = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
+        "fuzz" => {
+            let d = experiments::FuzzConfig::default();
+            Command::Fuzz {
+                budget: g.or("--budget", d.budget, |v| parse_count("--budget", v, "budget"))?,
+                seeds: seeds(d.seeds)?,
+                base_seed: base_seed(d.base_seed)?,
+                corpus: g.string("--corpus"),
+                json,
+                threads,
             }
-            Ok(Command::Recovery { seeds, base_seed, kills, every, only, json, threads })
         }
-        Some("fuzz") => {
-            let defaults = experiments::FuzzConfig::default();
-            let mut budget = defaults.budget;
-            let mut seeds = defaults.seeds;
-            let mut base_seed = defaults.base_seed;
-            let mut corpus = None;
-            let mut json = false;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--budget" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--budget needs a count".into()))?;
-                        budget = v.parse().map_err(|_| UsageError(format!("bad budget '{v}'")))?;
-                        if budget == 0 {
-                            return Err(UsageError("--budget must be at least 1".into()));
-                        }
-                    }
-                    "--seeds" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--seeds needs a count".into()))?;
-                        seeds =
-                            v.parse().map_err(|_| UsageError(format!("bad seed count '{v}'")))?;
-                        if seeds == 0 {
-                            return Err(UsageError("--seeds must be at least 1".into()));
-                        }
-                    }
-                    "--base" => {
-                        let v =
-                            it.next().ok_or_else(|| UsageError("--base needs a seed".into()))?;
-                        base_seed =
-                            v.parse().map_err(|_| UsageError(format!("bad base seed '{v}'")))?;
-                    }
-                    "--corpus" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--corpus needs a directory".into()))?;
-                        corpus = Some(v.clone());
-                    }
-                    "--json" => json = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| UsageError("--threads needs a count".into()))?;
-                        threads = Some(parse_threads(v)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::Fuzz { budget, seeds, base_seed, corpus, json, threads })
+        "export" => {
+            let only = only()?;
+            let format = g.or("--format", "chrome".to_owned(), |v| match v {
+                "chrome" | "prom" | "jsonl" => Ok(v.to_owned()),
+                other => Err(UsageError(format!(
+                    "unknown export format '{other}': expected chrome, prom or jsonl"
+                ))),
+            })?;
+            Command::Export { seed, only, format, out: g.string("--out"), threads }
         }
-        Some(other) => Err(UsageError(format!("unknown command '{other}'; try `tussle-cli help`"))),
-    }
+        "health" => Command::Health {
+            bench: g.string("--bench").unwrap_or_else(|| "BENCH_sim.json".to_owned()),
+            baseline: g.string("--baseline"),
+            json,
+        },
+        _ => unreachable!("every FLAGS row has a builder"),
+    })
 }
 
 /// Execute a command, returning the text to print.
@@ -2594,5 +2358,45 @@ mod tests {
         assert!(bench_threshold("obs/dispatch_traced_disabled") < bench_threshold("econ/settle"));
         assert!(bench_threshold("econ/settle") < bench_threshold("scale/forward_10k"));
         assert_eq!(bench_threshold("forward/fast_path"), bench_threshold("scale/forward_10k"));
+    }
+
+    #[test]
+    fn every_flag_given_twice_is_rejected() {
+        for (command, table) in FLAGS {
+            for (flag, hint) in *table {
+                let once: &[&str] = if hint.is_some() { &[flag, "x"] } else { &[flag] };
+                let line: Vec<String> = std::iter::once(*command)
+                    .chain(once.iter().copied())
+                    .chain(once.iter().copied())
+                    .map(str::to_owned)
+                    .collect();
+                let err = parse_args(&line).unwrap_err();
+                assert_eq!(err.0, format!("{flag} given twice"), "{line:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_the_parser_accepts() {
+        let flags_in = |text: &str| -> std::collections::BTreeSet<String> {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--"))
+                .map(str::to_owned)
+                .collect()
+        };
+        let lines: Vec<&str> =
+            USAGE.lines().filter_map(|l| l.strip_prefix("  tussle-cli ")).collect();
+        for (command, _) in FLAGS {
+            assert!(lines.iter().any(|l| l.split(' ').next() == Some(*command)), "{command}");
+        }
+        for line in lines {
+            let command = line.split(' ').next().unwrap();
+            let accepted = FLAGS
+                .iter()
+                .find(|(name, _)| *name == command)
+                .map(|(_, table)| table.iter().map(|(flag, _)| (*flag).to_owned()).collect())
+                .unwrap_or_default();
+            assert_eq!(flags_in(line), accepted, "USAGE line for {command}");
+        }
     }
 }

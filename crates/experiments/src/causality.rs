@@ -262,9 +262,9 @@ pub struct DiffConfig {
     pub intensity_a: f64,
     /// Ambient fault intensity of side B, in `[0, 1]`.
     pub intensity_b: f64,
-    /// Worker-thread cap (`Some(1)` runs the sides sequentially; anything
-    /// else runs them on two scoped threads). The output is byte-identical
-    /// either way — observation and ambient intensity are thread-local.
+    /// Worker-thread cap (`None` = available parallelism, capped at 2 —
+    /// one worker per side). The output is byte-identical either way —
+    /// observation and ambient intensity are thread-local.
     pub threads: Option<usize>,
 }
 
@@ -437,22 +437,11 @@ fn side_at(record: &RunRecord, index: u64) -> DiffSide {
 pub fn diff(config: &DiffConfig) -> Result<DiffReport, CausalityError> {
     let entry = resolve(&config.id)?;
     let name = entry.0.to_owned();
-    let sequential = config.threads == Some(1);
-    let (ra, rb) = if sequential {
-        (
-            run_side(entry, config.seed_a, config.intensity_a),
-            run_side(entry, config.seed_b, config.intensity_b),
-        )
-    } else {
-        std::thread::scope(|scope| {
-            let ha = scope.spawn(|| run_side(entry, config.seed_a, config.intensity_a));
-            let hb = scope.spawn(|| run_side(entry, config.seed_b, config.intensity_b));
-            (
-                ha.join().expect("diff side A does not panic"),
-                hb.join().expect("diff side B does not panic"),
-            )
-        })
-    };
+    let sides = [(config.seed_a, config.intensity_a), (config.seed_b, config.intensity_b)];
+    let [ra, rb]: [RunRecord; 2] =
+        crate::par_map_ordered(2, config.threads, |i| run_side(entry, sides[i].0, sides[i].1))
+            .try_into()
+            .expect("one record per side");
 
     let identical = ra.digest == rb.digest;
     let (within, probes) = first_divergence(&ra.prefix_digests, &rb.prefix_digests);

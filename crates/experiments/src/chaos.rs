@@ -12,10 +12,10 @@
 //!
 //! ## Determinism
 //!
-//! Same execution model as the sweep: workers steal `(experiment,
-//! intensity, seed)` jobs from a shared atomic index, results land in fixed
-//! slots, and the reduction walks the grid in a fixed order. Ambient
-//! intensity and fault tallies are thread-local and scoped to one job by
+//! Same execution model as the sweep: `(experiment, intensity, seed)` jobs
+//! run on [`crate::par_map_ordered`], results land in fixed slots, and the
+//! reduction walks the grid in a fixed order. Ambient intensity and fault
+//! tallies are thread-local and scoped to one job by
 //! [`tussle_sim::fault::AmbientGuard`], so job placement cannot leak state
 //! between runs. The rendered [`ChaosReport`] is byte-identical across
 //! thread counts. At intensity 0 the ambient hook draws no randomness at
@@ -29,7 +29,6 @@
 
 use crate::sweep::reduce_experiment;
 use crate::{registry, ExperimentEntry};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tussle_core::report::{ChaosReport, IntensityStats, MarginStats};
 use tussle_core::ExperimentReport;
 use tussle_sim::fault;
@@ -183,8 +182,8 @@ pub fn run_chaos_entries(
 
 type ChaosCell = (ExperimentReport, bool, FaultStats);
 
-/// Run `experiments × intensities × seeds` jobs on scoped worker threads.
-/// Returns cells as `[experiment][intensity][seed]`.
+/// Run `experiments × intensities × seeds` jobs on
+/// [`crate::par_map_ordered`]. Returns cells as `[experiment][intensity][seed]`.
 fn run_grid(
     entries: &[ExperimentEntry],
     intensities: &[f64],
@@ -192,45 +191,21 @@ fn run_grid(
     threads: Option<usize>,
 ) -> Vec<Vec<Vec<ChaosCell>>> {
     let per_exp = intensities.len() * seeds.len();
-    let jobs = entries.len() * per_exp;
-    let workers = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, jobs.max(1));
-
-    let next = AtomicUsize::new(0);
-    let mut harvested: Vec<(usize, ChaosCell)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let job = next.fetch_add(1, Ordering::Relaxed);
-                        if job >= jobs {
-                            break;
-                        }
-                        let (name, run) = entries[job / per_exp];
-                        let intensity = intensities[(job % per_exp) / seeds.len()];
-                        let seed = seeds[job % seeds.len()];
-                        // Scope the ambient intensity to exactly this run and
-                        // start its fault tally from zero; the guard restores
-                        // the thread's previous (fault-free) state either way.
-                        let guard = fault::set_ambient_intensity(intensity);
-                        let _ = fault::take_ambient_stats();
-                        let (report, panicked) = crate::run_isolated(name, run, seed);
-                        let faults = fault::take_ambient_stats();
-                        drop(guard);
-                        local.push((job, (report, panicked, faults)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("worker threads do not panic")).collect()
+    let flat = crate::par_map_ordered(entries.len() * per_exp, threads, |job| {
+        let (name, run) = entries[job / per_exp];
+        let intensity = intensities[(job % per_exp) / seeds.len()];
+        let seed = seeds[job % seeds.len()];
+        // Scope the ambient intensity to exactly this run and start its
+        // fault tally from zero; the guard restores the thread's previous
+        // (fault-free) state either way.
+        let guard = fault::set_ambient_intensity(intensity);
+        let _ = fault::take_ambient_stats();
+        let (report, panicked) = crate::run_isolated(name, run, seed);
+        let faults = fault::take_ambient_stats();
+        drop(guard);
+        (report, panicked, faults)
     });
-
-    harvested.sort_by_key(|(job, _)| *job);
-    debug_assert_eq!(harvested.len(), jobs, "every job produced one cell");
-    let mut it = harvested.into_iter().map(|(_, c)| c);
+    let mut it = flat.into_iter();
     (0..entries.len())
         .map(|_| (0..intensities.len()).map(|_| it.by_ref().take(seeds.len()).collect()).collect())
         .collect()

@@ -195,19 +195,58 @@ pub fn panic_report(id: &str, seed: u64, message: &str) -> ExperimentReport {
     }
 }
 
-/// Run every experiment concurrently (one scoped thread each) and return
-/// the reports in id order. Determinism is unaffected: each experiment is
+/// Run `f(0)..f(jobs - 1)` on scoped worker threads and return the results
+/// in job order — the one parallel execution path of every campaign.
+/// `threads: None` means the machine's available parallelism; the worker
+/// count is clamped to `1..=jobs`. Workers steal job indices from one
+/// shared atomic counter, so *which* thread runs a job varies run to run,
+/// but each result lands in its job's slot: for a deterministic `f` the
+/// output is the same at any thread count. Jobs always run on spawned
+/// workers, never on the caller's thread, so a caller's thread-local
+/// observation or fault scope cannot leak into them. `f` must not panic
+/// (campaign jobs catch their own panics); a panicking job panics the caller.
+pub fn par_map_ordered<T: Send>(
+    jobs: usize,
+    threads: Option<usize>,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let workers = threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .clamp(1, jobs.max(1));
+    let next = AtomicUsize::new(0);
+    let mut harvested: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        // Relaxed suffices: the counter only hands out
+                        // indices; results come back through `join`.
+                        let job = next.fetch_add(1, Ordering::Relaxed);
+                        if job >= jobs {
+                            break;
+                        }
+                        local.push((job, f(job)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("grid jobs do not panic")).collect()
+    });
+    harvested.sort_by_key(|(job, _)| *job);
+    debug_assert_eq!(harvested.len(), jobs, "every job produced one result");
+    harvested.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Run every experiment concurrently on [`par_map_ordered`] and return the
+/// reports in id order. Determinism is unaffected: each experiment is
 /// seeded independently and never shares mutable state. A panicking
 /// experiment yields its [`panic_report`] instead of poisoning the batch.
 pub fn run_all_parallel(seed: u64) -> Vec<ExperimentReport> {
     let reg = registry();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = reg
-            .iter()
-            .map(|(name, run)| scope.spawn(move || run_captured(name, *run, seed)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker threads do not panic")).collect()
-    })
+    par_map_ordered(reg.len(), None, |i| run_captured(reg[i].0, reg[i].1, seed))
 }
 
 /// Run every experiment with one seed; returns the reports in id order.

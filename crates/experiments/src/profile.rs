@@ -193,8 +193,8 @@ pub fn trace_dump(
 
 /// Run the selected experiments under Profile observation and return each
 /// one's full [`tussle_sim::RunRecord`], in request order, for the export
-/// renderers. Jobs run on scoped worker threads stealing from a shared
-/// atomic index (the sweep execution model): *which* thread runs an
+/// renderers. Jobs run on [`crate::par_map_ordered`] (the sweep execution
+/// model): *which* thread runs an
 /// experiment varies run to run, but records land in fixed slots, and the
 /// exporters render only virtual-time fields — so every downstream
 /// rendering is byte-identical across `--threads 1/2/8`.
@@ -203,35 +203,11 @@ pub fn export_records(
     only: &[String],
     threads: Option<usize>,
 ) -> Result<Vec<(String, tussle_sim::RunRecord)>, ProfileError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
     let selected = select(only)?;
-    let jobs = selected.len();
-    let workers = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, jobs.max(1));
-    let next = AtomicUsize::new(0);
-    let mut harvested: Vec<(usize, tussle_sim::RunRecord)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let job = next.fetch_add(1, Ordering::Relaxed);
-                        if job >= jobs {
-                            break;
-                        }
-                        let (name, run) = selected[job];
-                        let (_, record) = crate::run_profiled(name, run, seed);
-                        local.push((job, record));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("worker threads do not panic")).collect()
-    });
-    harvested.sort_by_key(|(job, _)| *job);
-    Ok(harvested.into_iter().map(|(job, record)| (selected[job].0.to_owned(), record)).collect())
+    Ok(crate::par_map_ordered(selected.len(), threads, |job| {
+        let (name, run) = selected[job];
+        (name.to_owned(), crate::run_profiled(name, run, seed).1)
+    }))
 }
 
 /// One experiment's trace dump in structured form, for `trace --json`.

@@ -32,13 +32,12 @@
 //!
 //! ## Determinism
 //!
-//! Same execution model as the chaos campaign: workers steal cells from a
-//! shared atomic index, results land in fixed slots, and the report is
+//! Same execution model as the chaos campaign: cells run on
+//! [`crate::par_map_ordered`], results land in fixed slots, and the report is
 //! byte-identical across thread counts. Checkpoint scopes are thread-local,
 //! so job placement cannot leak snapshots between cells.
 
 use crate::{registry, ExperimentEntry};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tussle_core::report::{RecoveryCell, RecoveryReport};
 use tussle_core::ExperimentReport;
 use tussle_sim::checkpoint::{self, CheckpointConfig, CheckpointPolicy, Snapshot};
@@ -152,44 +151,18 @@ pub fn run_recovery_entries(
     let seeds: Vec<u64> = (0..config.seeds).map(|i| config.base_seed.wrapping_add(i)).collect();
     let kills = config.kill_points;
     let per_exp = (seeds.len() as u64 * kills) as usize;
-    let jobs = entries.len() * per_exp;
-    let workers = config
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, jobs.max(1));
-
-    let next = AtomicUsize::new(0);
-    let mut harvested: Vec<(usize, RecoveryCell)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let job = next.fetch_add(1, Ordering::Relaxed);
-                        if job >= jobs {
-                            break;
-                        }
-                        let (name, run) = entries[job / per_exp];
-                        let within = (job % per_exp) as u64;
-                        let seed = seeds[(within / kills) as usize];
-                        let kill_point = within % kills;
-                        local.push((job, run_cell(name, run, seed, kill_point, config.every)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("worker threads do not panic")).collect()
+    let cells = crate::par_map_ordered(entries.len() * per_exp, config.threads, |job| {
+        let (name, run) = entries[job / per_exp];
+        let within = (job % per_exp) as u64;
+        let seed = seeds[(within / kills) as usize];
+        run_cell(name, run, seed, within % kills, config.every)
     });
-
-    harvested.sort_by_key(|(job, _)| *job);
-    debug_assert_eq!(harvested.len(), jobs, "every job produced one cell");
     Ok(RecoveryReport {
         base_seed: config.base_seed,
         seeds: config.seeds,
         kill_points: config.kill_points,
         every: config.every,
-        cells: harvested.into_iter().map(|(_, c)| c).collect(),
+        cells,
     })
 }
 

@@ -10,15 +10,14 @@
 //!
 //! ## Determinism
 //!
-//! Each job depends only on its `(experiment, seed)` pair; workers steal
-//! jobs from a shared atomic index, so *which* thread runs a job varies
-//! run to run, but results land in a fixed slot and the reduction walks
+//! Each job depends only on its `(experiment, seed)` pair; the jobs run on
+//! [`crate::par_map_ordered`], so *which* thread runs a job varies run to
+//! run, but results land in a fixed slot and the reduction walks
 //! the grid in registry-then-seed order. The rendered report — markdown
 //! and JSON — is therefore byte-identical across runs regardless of
 //! thread count or scheduling.
 
 use crate::registry;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tussle_core::report::{CellStats, ExperimentSweep, FirstFailure, SweepReport};
 use tussle_core::ExperimentReport;
 
@@ -98,49 +97,20 @@ pub fn run_sweep(config: &SweepConfig) -> Result<SweepReport, SweepError> {
     Ok(SweepReport { base_seed: config.base_seed, seeds: config.seeds, experiments })
 }
 
-/// Run `experiments × seeds` jobs on scoped worker threads, stealing work
-/// from a shared index. Returns the reports as `[experiment][seed]`.
+/// Run `experiments × seeds` jobs on [`crate::par_map_ordered`]. Returns
+/// the reports as `[experiment][seed]`.
 fn run_grid(
     experiments: &[crate::ExperimentEntry],
     seeds: &[u64],
     threads: Option<usize>,
 ) -> Vec<Vec<ExperimentReport>> {
-    let jobs = experiments.len() * seeds.len();
-    let workers = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, jobs.max(1));
-
-    let next = AtomicUsize::new(0);
-    let mut harvested: Vec<(usize, ExperimentReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let job = next.fetch_add(1, Ordering::Relaxed);
-                        if job >= jobs {
-                            break;
-                        }
-                        let (name, run) = experiments[job / seeds.len()];
-                        local.push((job, crate::run_captured(name, run, seeds[job % seeds.len()])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        // Experiment panics are caught inside `run_captured`, so a join
-        // failure can only mean the worker loop itself is broken.
-        handles.into_iter().flat_map(|h| h.join().expect("worker threads do not panic")).collect()
+    // Experiment panics are caught inside `run_captured`, so no job panics.
+    let flat = crate::par_map_ordered(experiments.len() * seeds.len(), threads, |job| {
+        let (name, run) = experiments[job / seeds.len()];
+        crate::run_captured(name, run, seeds[job % seeds.len()])
     });
-
-    harvested.sort_by_key(|(job, _)| *job);
-    debug_assert_eq!(harvested.len(), jobs, "every job produced one report");
-    let mut rows: Vec<Vec<ExperimentReport>> = Vec::with_capacity(experiments.len());
-    let mut it = harvested.into_iter().map(|(_, r)| r);
-    for _ in 0..experiments.len() {
-        rows.push(it.by_ref().take(seeds.len()).collect());
-    }
-    rows
+    let mut it = flat.into_iter();
+    (0..experiments.len()).map(|_| it.by_ref().take(seeds.len()).collect()).collect()
 }
 
 /// Reduce one experiment's per-seed reports into its sweep summary.
