@@ -46,6 +46,7 @@ timed_test "workspace doctests"    --workspace --doc
 # Crate-level integration/property suites.
 timed_test "actors/prop_actors"            -p tussle-actors      --test prop_actors
 timed_test "econ/prop_ledger"              -p tussle-econ        --test prop_ledger
+timed_test "econ/prop_market"              -p tussle-econ        --test prop_market
 timed_test "experiments/chaos_campaign"    -p tussle-experiments --test chaos_campaign
 timed_test "experiments/par_map_ordered"   -p tussle-experiments --test par_map_ordered
 timed_test "experiments/prop_recovery"     -p tussle-experiments --test prop_recovery
@@ -426,10 +427,10 @@ if [[ -n "$untracked_corpus" ]]; then
 fi
 echo "corpus hygiene OK: every tests/corpus entry is tracked"
 
-echo "==> perf baseline: BENCH_sim.json from the obs + sweep + net + checkpoint + fuzz benches"
+echo "==> perf baseline: BENCH_sim.json from the obs + sweep + net + checkpoint + fuzz + substrates benches"
 bench_jsonl="$(mktemp)"
 trap 'rm -f "$bench_jsonl"' EXIT
-CRITERION_JSON="$bench_jsonl" cargo bench -p tussle-bench --bench obs --bench sweep --bench net --bench checkpoint --bench fuzz
+CRITERION_JSON="$bench_jsonl" cargo bench -p tussle-bench --bench obs --bench sweep --bench net --bench checkpoint --bench fuzz --bench substrates
 jq -s 'sort_by(.bench)' "$bench_jsonl" > BENCH_sim.json
 jq -e '
   (length >= 12)
@@ -440,6 +441,8 @@ jq -e '
   and ([.[].bench] | any(startswith("net/")))
   and ([.[].bench] | any(startswith("checkpoint/")))
   and ([.[].bench] | any(startswith("fuzz/")))
+  and ([.[].bench] | any(startswith("actors/")))
+  and ([.[].bench] | any(startswith("econ/")))
 ' BENCH_sim.json > /dev/null
 echo "perf baseline OK: $(jq length BENCH_sim.json) benches recorded in BENCH_sim.json"
 

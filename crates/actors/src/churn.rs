@@ -65,10 +65,12 @@ impl ChurnProcess {
         let name = format!("entrant-{}", self.entrants);
         let id = net.add_actor(kind, &name, stances);
         // align with up to three incumbents — joining the network means
-        // committing to parts of it
-        let incumbents: Vec<_> = net.active_actors().map(|a| a.id).filter(|i| *i != id).collect();
-        for _ in 0..3 {
-            if let Some(other) = rng.pick(&incumbents).copied() {
+        // committing to parts of it. The entrant is the newest, so last,
+        // live id; the incumbents are the ones before it.
+        let n = net.active_count() - 1;
+        if n > 0 {
+            for _ in 0..3 {
+                let other = net.active_ids()[rng.range(0..n)];
                 net.align(id, other, self.entry_alignment);
             }
         }

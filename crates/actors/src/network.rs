@@ -48,18 +48,26 @@ pub struct Actor {
 /// aligned pair, sorted by `(low, high)`. That order is part of the
 /// golden contract: [`relax`](Self::relax) updates stances in place one
 /// edge after another, so a different order gives different floats.
+/// `live` lists the active actors' ids in ascending order.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ActorNetwork {
     actors: Vec<Actor>,
     stances: Vec<f64>,
     edges: Vec<(ActorId, ActorId, f64)>,
+    live: Vec<ActorId>,
     issue_count: usize,
 }
 
 impl ActorNetwork {
     /// A network with the given number of issue axes.
     pub fn new(issue_count: usize) -> Self {
-        ActorNetwork { actors: Vec::new(), stances: Vec::new(), edges: Vec::new(), issue_count }
+        ActorNetwork {
+            actors: Vec::new(),
+            stances: Vec::new(),
+            edges: Vec::new(),
+            live: Vec::new(),
+            issue_count,
+        }
     }
 
     /// Number of issue axes every actor has a stance on.
@@ -75,6 +83,7 @@ impl ActorNetwork {
         self.stances.extend(stances[..given].iter().map(|v| v.clamp(-1.0, 1.0)));
         self.stances.resize(self.stances.len() + self.issue_count - given, 0.0);
         self.actors.push(Actor { id, kind, name: name.to_owned(), active: true });
+        self.live.push(id);
         id
     }
 
@@ -82,6 +91,9 @@ impl ActorNetwork {
     pub fn remove_actor(&mut self, id: ActorId) {
         if let Some(a) = self.actors.get_mut(id.index()) {
             a.active = false;
+        }
+        if let Ok(i) = self.live.binary_search(&id) {
+            self.live.remove(i);
         }
         self.edges.retain(|(x, y, _)| *x != id && *y != id);
     }
@@ -99,12 +111,17 @@ impl ActorNetwork {
 
     /// Active actors.
     pub fn active_actors(&self) -> impl Iterator<Item = &Actor> {
-        self.actors.iter().filter(|a| a.active)
+        self.live.iter().map(|id| &self.actors[id.index()])
+    }
+
+    /// Ids of the active actors, ascending.
+    pub fn active_ids(&self) -> &[ActorId] {
+        &self.live
     }
 
     /// Number of active actors.
     pub fn active_count(&self) -> usize {
-        self.active_actors().count()
+        self.live.len()
     }
 
     fn key(a: ActorId, b: ActorId) -> (ActorId, ActorId) {

@@ -1,7 +1,8 @@
 //! Property tests for actor-network dynamics.
 
 use proptest::prelude::*;
-use tussle_actors::{ActorId, ActorKind, ActorNetwork};
+use tussle_actors::{ActorId, ActorKind, ActorNetwork, ChurnProcess, FreezeDetector};
+use tussle_sim::SimRng;
 
 /// The map-based actor network the flat edge list replaced, kept verbatim
 /// as a reference model: an alignment `BTreeMap` keyed by `(low, high)`
@@ -126,6 +127,95 @@ mod reference {
     }
 }
 
+/// The history-based freeze detector `FreezeDetector` replaced, kept
+/// verbatim as a reference model: it stores every observation and
+/// rescans them for `frozen_at`.
+mod reference_detector {
+    pub struct HistoryDetector {
+        pub energy_threshold: f64,
+        pub window: usize,
+        quiet_steps: usize,
+        history: Vec<(usize, f64)>,
+    }
+
+    impl HistoryDetector {
+        pub fn new(energy_threshold: f64, window: usize) -> Self {
+            HistoryDetector {
+                energy_threshold,
+                window: window.max(1),
+                quiet_steps: 0,
+                history: Vec::new(),
+            }
+        }
+
+        pub fn observe(&mut self, entrants: usize, tussle_energy: f64) -> bool {
+            self.history.push((entrants, tussle_energy));
+            if entrants == 0 && tussle_energy < self.energy_threshold {
+                self.quiet_steps += 1;
+            } else {
+                self.quiet_steps = 0;
+            }
+            self.is_frozen()
+        }
+
+        pub fn is_frozen(&self) -> bool {
+            self.quiet_steps >= self.window
+        }
+
+        pub fn frozen_at(&self) -> Option<usize> {
+            let mut quiet = 0;
+            for (i, (entrants, energy)) in self.history.iter().enumerate() {
+                if *entrants == 0 && *energy < self.energy_threshold {
+                    quiet += 1;
+                    if quiet >= self.window {
+                        return Some(i);
+                    }
+                } else {
+                    quiet = 0;
+                }
+            }
+            None
+        }
+
+        pub fn steps(&self) -> usize {
+            self.history.len()
+        }
+    }
+}
+
+/// `ChurnProcess::step` as it was when each entrant collected the active
+/// incumbents into a fresh `Vec` and `pick`ed from it, run against the
+/// map-based reference network.
+fn reference_churn_step(
+    churn: &ChurnProcess,
+    net: &mut reference::MapNetwork,
+    rng: &mut SimRng,
+) -> usize {
+    let mut admitted = 0;
+    let mut budget = churn.arrival_rate;
+    while budget > 0.0 {
+        let p = budget.min(1.0);
+        if rng.chance(p) {
+            let stances: Vec<f64> = (0..net.issue_count).map(|_| rng.range(-1.0..1.0f64)).collect();
+            let kind = if rng.chance(0.5) { ActorKind::Human } else { ActorKind::Technology };
+            let id = net.add_actor(kind, stances);
+            let incumbents: Vec<_> = (0..net.actors.len() as u32)
+                .map(ActorId)
+                .filter(|i| net.actors[i.index()].active && *i != id)
+                .collect();
+            for _ in 0..3 {
+                if let Some(other) = rng.pick(&incumbents).copied() {
+                    net.align(id, other, churn.entry_alignment);
+                }
+            }
+            admitted += 1;
+        }
+        budget -= 1.0;
+    }
+    net.relax(churn.relaxation_rate);
+    admitted
+}
+
 /// One mutation of an actor network. Actor indices are taken modulo the
 /// actors present, so every op applies whatever came before it.
 #[derive(Debug, Clone)]
@@ -148,11 +238,15 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Bit-for-bit agreement of every observable between the two networks.
-fn assert_same(net: &ActorNetwork, model: &reference::MapNetwork) {
-    assert_eq!(net.tussle_energy().to_bits(), model.tussle_energy().to_bits(), "energy");
-    assert_eq!(net.durability().to_bits(), model.durability().to_bits(), "durability");
+/// Bit-for-bit agreement of the observables that stay linear in the
+/// network's size: active ids, every stance, every alignment the model
+/// holds, and the two aggregates.
+fn assert_same_stances_and_ties(net: &ActorNetwork, model: &reference::MapNetwork) {
     let n = model.actors.len() as u32;
+    let live: Vec<ActorId> =
+        (0..n).map(ActorId).filter(|a| model.actors[a.index()].active).collect();
+    assert_eq!(net.active_ids(), live, "active ids");
+    assert_eq!(net.active_count(), live.len(), "active count");
     for a in (0..n).map(ActorId) {
         assert_eq!(net.actor(a).active, model.actors[a.index()].active, "active {a:?}");
         let (got, want) = (net.stances(a), &model.actors[a.index()].stances);
@@ -160,6 +254,20 @@ fn assert_same(net: &ActorNetwork, model: &reference::MapNetwork) {
         for (x, y) in got.iter().zip(want) {
             assert_eq!(x.to_bits(), y.to_bits(), "stance of {a:?}");
         }
+    }
+    for (&(a, b), s) in &model.alignment {
+        assert_eq!(net.alignment(a, b).to_bits(), s.to_bits(), "alignment {a:?}-{b:?}");
+    }
+    assert_eq!(net.tussle_energy().to_bits(), model.tussle_energy().to_bits(), "energy");
+    assert_eq!(net.durability().to_bits(), model.durability().to_bits(), "durability");
+}
+
+/// Bit-for-bit agreement of every observable between the two networks,
+/// over every pair of actors too.
+fn assert_same(net: &ActorNetwork, model: &reference::MapNetwork) {
+    assert_same_stances_and_ties(net, model);
+    let n = model.actors.len() as u32;
+    for a in (0..n).map(ActorId) {
         for b in (0..n).map(ActorId) {
             assert_eq!(
                 net.alignment(a, b).to_bits(),
@@ -306,5 +414,76 @@ proptest! {
             }
             assert_same(&net, &model);
         }
+    }
+
+    /// The detector that reads energy only on entrant-free steps and keeps
+    /// no history agrees with the history-based reference after every
+    /// step, and calls the energy closure exactly when no entrant arrived.
+    #[test]
+    fn freeze_detector_matches_history_reference(
+        threshold in 0.0f64..0.2,
+        window in 1usize..30,
+        obs in proptest::collection::vec((0usize..3, 0.0f64..0.2), 0..120),
+    ) {
+        let mut det = FreezeDetector::new(threshold, window);
+        let mut model = reference_detector::HistoryDetector::new(threshold, window);
+        for (entrants, energy) in obs {
+            let mut calls = 0;
+            let frozen = det.observe(entrants, || {
+                calls += 1;
+                energy
+            });
+            prop_assert_eq!(frozen, model.observe(entrants, energy));
+            prop_assert_eq!(calls, usize::from(entrants == 0), "closure calls");
+            prop_assert_eq!(det.is_frozen(), model.is_frozen());
+            prop_assert_eq!(det.frozen_at(), model.frozen_at());
+            prop_assert_eq!(det.steps(), model.steps());
+        }
+    }
+
+    /// Admission that draws incumbents from the live id list consumes the
+    /// same rng words and builds the same network, bit for bit, as the
+    /// collect-and-`pick` admission, with removals between steps.
+    #[test]
+    fn churn_matches_collect_and_pick_admission(
+        rate in 0.0f64..3.0,
+        seed in 0u64..1_000,
+        removals in proptest::collection::vec((0usize..4, 0usize..256), 0..60),
+    ) {
+        let founders = [
+            (ActorKind::Human, vec![0.9, -0.4, 0.1]),
+            (ActorKind::Institution, vec![-0.8, 0.6, 0.0]),
+            (ActorKind::Technology, vec![0.0, 0.0, 0.0]),
+        ];
+        let mut net = ActorNetwork::new(3);
+        let mut model = reference::MapNetwork::new(3);
+        for (kind, stances) in founders {
+            net.add_actor(kind, "founder", stances.clone());
+            model.add_actor(kind, stances);
+        }
+        for (a, b) in [(0, 2), (1, 2), (0, 1)] {
+            net.align(ActorId(a), ActorId(b), 0.6);
+            model.align(ActorId(a), ActorId(b), 0.6);
+        }
+        let mut churn = ChurnProcess::new(rate);
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut model_rng = rng.clone();
+        let mut entrants = 0;
+        for (remove, victim) in removals {
+            // one step in four removes an actor, possibly one already gone
+            if remove == 0 {
+                let victim = ActorId((victim % model.actors.len()) as u32);
+                net.remove_actor(victim);
+                model.remove_actor(victim);
+            }
+            let admitted = churn.step(&mut net, &mut rng);
+            prop_assert_eq!(admitted, reference_churn_step(&churn, &mut model, &mut model_rng));
+            entrants += admitted as u64;
+            prop_assert_eq!(churn.entrants(), entrants);
+            prop_assert_eq!(rng.word_pos(), model_rng.word_pos(), "rng words");
+            assert_same_stances_and_ties(&net, &model);
+        }
+        // every pair, including ones neither side should have aligned
+        assert_same(&net, &model);
     }
 }

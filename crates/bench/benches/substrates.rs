@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use tussle_actors::{ActorKind, ActorNetwork, ChurnProcess};
+use tussle_actors::{ActorKind, ActorNetwork, ChurnProcess, FreezeDetector};
 use tussle_core::{EscalationLadder, Mechanism};
 use tussle_econ::{Consumer, Ledger, Market, Money, Provider};
 use tussle_game::{FictitiousPlay, Game};
@@ -227,9 +227,10 @@ fn bench_sourceroute(c: &mut Criterion) {
     });
 }
 
-/// E12's founding population grown by `ChurnProcess::new(2.0)` for 600
-/// steps: ~1,200 actors and ~3,600 alignment edges.
-fn churned_network() -> ActorNetwork {
+/// One E12 rate chain: the founding population grown by
+/// `ChurnProcess::new(2.0)` for 600 steps, each step fed to E12's freeze
+/// detector. Ends with ~1,200 actors and ~3,600 alignment edges.
+fn churn_rate2_600() -> (ActorNetwork, FreezeDetector) {
     let mut net = ActorNetwork::new(3);
     let users = net.add_actor(ActorKind::Human, "users", vec![0.9, -0.4, 0.1]);
     let isp = net.add_actor(ActorKind::Institution, "isp", vec![-0.8, 0.6, 0.0]);
@@ -240,21 +241,26 @@ fn churned_network() -> ActorNetwork {
     net.align(isp, law, 0.5);
     net.align(users, isp, 0.4);
     let mut churn = ChurnProcess::new(2.0);
+    let mut det = FreezeDetector::new(0.05, 25);
     let mut rng = SimRng::seed_from_u64(2002);
     for _ in 0..600 {
-        churn.step(&mut net, &mut rng);
+        let admitted = churn.step(&mut net, &mut rng);
+        det.observe(admitted, || net.tussle_energy());
     }
-    net
+    (net, det)
 }
 
 fn bench_actors(c: &mut Criterion) {
     // Relaxing the same network over and over moves its stances and tie
     // strengths but not its edges, and the per-edge work is the same
     // whatever those values are.
-    let mut net = churned_network();
+    let (mut net, _) = churn_rate2_600();
     c.bench_function("actors/relax_1200", |b| b.iter(|| net.relax(black_box(0.05))));
-    let net = churned_network();
+    let (net, _) = churn_rate2_600();
     c.bench_function("actors/energy_1200", |b| b.iter(|| black_box(net.tussle_energy())));
+    c.bench_function("actors/churn_rate2_600", |b| {
+        b.iter(|| black_box(churn_rate2_600().1.frozen_at()))
+    });
 }
 
 criterion_group!(

@@ -137,10 +137,6 @@ impl Market {
         let mut best: Option<(usize, Money)> = None;
         for idx in 0..self.providers.len() {
             let s = self.net_surplus(c, idx);
-            if !s.is_positive() && !s.micros().eq(&0) {
-                // negative surplus: skip
-                continue;
-            }
             if s.is_negative() {
                 continue;
             }
@@ -157,9 +153,8 @@ impl Market {
     pub fn choice_phase(&mut self) -> usize {
         let mut switches = 0;
         for i in 0..self.consumers.len() {
-            let c = self.consumers[i].clone();
-            let pick = self.best_choice(&c);
-            if pick != c.provider {
+            let pick = self.best_choice(&self.consumers[i]);
+            if pick != self.consumers[i].provider {
                 switches += 1;
             }
             self.consumers[i].provider = pick;
@@ -168,17 +163,18 @@ impl Market {
     }
 
     /// Demand and profit provider `p_idx` would see if it charged
-    /// `candidate`, with every other provider's tariff held fixed.
-    fn profit_if(&self, p_idx: usize, candidate: &PricingScheme) -> Money {
+    /// `candidate`, with every other provider's tariff held fixed. The
+    /// candidate is tried in place and the provider's scheme restored.
+    fn profit_if(&mut self, p_idx: usize, candidate: &PricingScheme) -> Money {
+        let saved = std::mem::replace(&mut self.providers[p_idx].scheme, candidate.clone());
         let mut profit = Money::ZERO;
-        let mut trial = self.clone();
-        trial.providers[p_idx].scheme = candidate.clone();
         for c in &self.consumers {
-            if trial.best_choice(c) == Some(p_idx) {
+            if self.best_choice(c) == Some(p_idx) {
                 let revenue = candidate.bill(c.observed_usage());
-                profit += revenue - trial.providers[p_idx].marginal_cost;
+                profit += revenue - self.providers[p_idx].marginal_cost;
             }
         }
+        self.providers[p_idx].scheme = saved;
         profit
     }
 
@@ -476,6 +472,17 @@ mod tests {
         let mut m = Market::new(consumers(10, 100, 0), vec![p]);
         let r = m.run(50);
         assert_eq!(r.avg_headline, Money::from_dollars(25));
+    }
+
+    #[test]
+    fn profit_if_leaves_the_tariffs_as_it_found_them() {
+        let mut m =
+            Market::new(consumers(5, 100, 0), vec![flat_provider("a", 30), flat_provider("b", 40)]);
+        let cheap = PricingScheme::Flat { monthly: Money::from_dollars(25) };
+        // at $25, "a" wins all five consumers at $5 over marginal cost each
+        assert_eq!(m.profit_if(0, &cheap), Money::from_dollars(25));
+        assert_eq!(m.providers[0].scheme, PricingScheme::Flat { monthly: Money::from_dollars(30) });
+        assert_eq!(m.providers[1].scheme, PricingScheme::Flat { monthly: Money::from_dollars(40) });
     }
 
     #[test]

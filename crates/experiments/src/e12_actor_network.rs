@@ -62,7 +62,7 @@ impl RateTally {
 fn churn_batch(t: &mut RateTally, n: usize, rng: &mut SimRng) {
     for _ in 0..n {
         let admitted = t.churn.step(&mut t.net, rng);
-        t.det.observe(admitted, t.net.tussle_energy());
+        t.det.observe(admitted, || t.net.tussle_energy());
     }
     t.done += n;
 }
