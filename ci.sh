@@ -312,15 +312,6 @@ if (( sweep_elapsed > BUDGET_S )); then
 fi
 echo "causal sweep OK: all 17 ids explain, diff and checkpoint on the event cursor (${sweep_elapsed}s)"
 
-echo "==> route-cache smoke: cached and uncached forwarding digests match"
-cache_on="$(./target/release/tussle-cli profile --only E4 --json | jq -r '.[0].cost.digest')"
-cache_off="$(TUSSLE_ROUTE_CACHE=off ./target/release/tussle-cli profile --only E4 --json | jq -r '.[0].cost.digest')"
-if [[ "$cache_on" != "$cache_off" ]]; then
-  echo "FAIL: E4 digest differs with the route cache disabled ($cache_on vs $cache_off)" >&2
-  exit 1
-fi
-echo "route-cache smoke OK: E4 digest $cache_on with and without the cache"
-
 echo "==> checkpoint smoke: write E9 checkpoints, resume from disk, schema-checked"
 ck_dir="$(mktemp -d)"
 ck_json="$(./target/release/tussle-cli checkpoint --only E9 --seed 5 --every 1 --dir "$ck_dir" --json)"

@@ -36,8 +36,16 @@ pub struct Actor {
     pub kind: ActorKind,
     /// Display name.
     pub name: String,
-    /// Whether the actor is still present.
-    pub active: bool,
+    /// Whether the actor is still present; only
+    /// [`ActorNetwork::remove_actor`] clears it.
+    active: bool,
+}
+
+impl Actor {
+    /// Whether the actor is still present (not removed).
+    pub fn is_active(&self) -> bool {
+        self.active
+    }
 }
 
 /// The actor network: actors plus pairwise alignment in `[0, 1]`.
@@ -48,6 +56,8 @@ pub struct Actor {
 /// aligned pair, sorted by `(low, high)`. That order is part of the
 /// golden contract: [`relax`](Self::relax) updates stances in place one
 /// edge after another, so a different order gives different floats.
+/// Both ends of every stored edge are active: `remove_actor` prunes a
+/// removed actor's edges and `align` ignores pairs with a removed end.
 /// `live` lists the active actors' ids in ascending order.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ActorNetwork {
@@ -138,9 +148,10 @@ impl ActorNetwork {
         self.edges.binary_search_by_key(&key, |(x, y, _)| (*x, *y))
     }
 
-    /// Set the alignment strength between two actors.
+    /// Set the alignment strength between two actors. A pair with a
+    /// removed end is ignored: removed actors hold no alignments.
     pub fn align(&mut self, a: ActorId, b: ActorId, strength: f64) {
-        if a == b {
+        if a == b || !self.actors[a.index()].active || !self.actors[b.index()].active {
             return;
         }
         let strength = strength.clamp(0.0, 1.0);
@@ -167,11 +178,6 @@ impl ActorNetwork {
         (total / self.issue_count as f64) / 2.0
     }
 
-    /// Whether both endpoints of an edge are still present.
-    fn live(&self, a: ActorId, b: ActorId) -> bool {
-        self.actors[a.index()].active && self.actors[b.index()].active
-    }
-
     /// Durability (Latour): mean alignment over aligned pairs, weighted ×2
     /// when either endpoint is Technology — technology anchors the network.
     /// Zero when nothing is aligned.
@@ -180,9 +186,6 @@ impl ActorNetwork {
         let mut weight_sum = 0.0;
         let mut value_sum = 0.0;
         for &(a, b, s) in &self.edges {
-            if !self.live(a, b) {
-                continue;
-            }
             let w = if tech(a) || tech(b) { 2.0 } else { 1.0 };
             weight_sum += w;
             value_sum += w * s;
@@ -197,11 +200,7 @@ impl ActorNetwork {
     /// Tussle energy: total unresolved conflict over *aligned* pairs —
     /// actors who must work together but want different things.
     pub fn tussle_energy(&self) -> f64 {
-        self.edges
-            .iter()
-            .filter(|(a, b, _)| self.live(*a, *b))
-            .map(|(a, b, s)| s * self.conflict(*a, *b))
-            .sum()
+        self.edges.iter().map(|(a, b, s)| s * self.conflict(*a, *b)).sum()
     }
 
     /// One relaxation step: aligned actors pull each other's stances
@@ -211,9 +210,6 @@ impl ActorNetwork {
     pub fn relax(&mut self, rate: f64) {
         let k = self.issue_count;
         for (a, b, s) in self.edges.iter_mut() {
-            if !self.actors[a.index()].active || !self.actors[b.index()].active {
-                continue;
-            }
             // a < b: the low actor's row sits wholly before the high one's
             let (head, tail) = self.stances.split_at_mut(b.index() * k);
             let sa = &mut head[a.index() * k..a.index() * k + k];
@@ -302,6 +298,20 @@ mod tests {
         assert_eq!(n.active_count(), 2);
         assert_eq!(n.alignment(user, isp), 0.0);
         assert!(n.durability() > 0.0, "the tech tie survives");
+    }
+
+    #[test]
+    fn aligning_a_removed_actor_is_ignored() {
+        let (mut n, user, isp, ip) = net();
+        n.align(user, ip, 0.5);
+        n.remove_actor(isp);
+        n.align(user, isp, 0.9);
+        n.align(isp, ip, 0.9);
+        assert_eq!(n.alignment(user, isp), 0.0);
+        assert_eq!(n.alignment(isp, ip), 0.0);
+        assert!(!n.actor(isp).is_active());
+        // only the live tie counts: weight 2 (technology) × 0.5
+        assert!((n.durability() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -4,9 +4,10 @@ use proptest::prelude::*;
 use tussle_actors::{ActorId, ActorKind, ActorNetwork, ChurnProcess, FreezeDetector};
 use tussle_sim::SimRng;
 
-/// The map-based actor network the flat edge list replaced, kept verbatim
-/// as a reference model: an alignment `BTreeMap` keyed by `(low, high)`
-/// and a stance `Vec` per actor.
+/// The map-based actor network the flat edge list replaced, kept as a
+/// reference model: an alignment `BTreeMap` keyed by `(low, high)` and a
+/// stance `Vec` per actor. Its `align` ignores a pair with a removed end,
+/// the same rule `ActorNetwork::align` follows.
 mod reference {
     use std::collections::BTreeMap;
     use tussle_actors::{ActorId, ActorKind};
@@ -52,7 +53,7 @@ mod reference {
         }
 
         pub fn align(&mut self, a: ActorId, b: ActorId, strength: f64) {
-            if a == b {
+            if a == b || !self.actors[a.index()].active || !self.actors[b.index()].active {
                 return;
             }
             self.alignment.insert(Self::key(a, b), strength.clamp(0.0, 1.0));
@@ -248,7 +249,7 @@ fn assert_same_stances_and_ties(net: &ActorNetwork, model: &reference::MapNetwor
     assert_eq!(net.active_ids(), live, "active ids");
     assert_eq!(net.active_count(), live.len(), "active count");
     for a in (0..n).map(ActorId) {
-        assert_eq!(net.actor(a).active, model.actors[a.index()].active, "active {a:?}");
+        assert_eq!(net.actor(a).is_active(), model.actors[a.index()].active, "active {a:?}");
         let (got, want) = (net.stances(a), &model.actors[a.index()].stances);
         assert_eq!(got.len(), want.len(), "stance count {a:?}");
         for (x, y) in got.iter().zip(want) {

@@ -13,11 +13,12 @@
 //! renumbering at all), and a core-router FIB whose size depends on
 //! whether customer blocks aggregate.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{ExperimentReport, Table};
 use tussle_econ::{Consumer, Market, Money, Provider};
 use tussle_net::addr::{Address, AddressOrigin, Asn, Prefix};
 use tussle_net::Network;
-use tussle_sim::{Ctx, Engine, SimTime};
+use tussle_sim::{Ctx, SimTime};
 
 /// The three addressing modes of the §V.A.1 tussle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,36 +136,30 @@ fn core_fib_for(mode: AddressingMode, n_customers: usize) -> usize {
     net.fib(core).len()
 }
 
-/// World for the engine-driven replay: settled outcomes per mode.
-#[derive(Default)]
-struct LockinWorld {
-    outcomes: Vec<(AddressingMode, LockinOutcome)>,
-}
-
 /// One addressing mode as a two-event causal chain: the market settles
 /// first, then — after a seeded renumbering/roll-out lag — the core
 /// routing table the mode implies is installed. The lag is the run's
 /// seed-dependent texture (what `diff` bisects); the chain is what
 /// `explain` walks.
-fn deploy_mode(_w: &mut LockinWorld, ctx: &mut Ctx<LockinWorld>, mode: AddressingMode) {
+fn deploy_mode(ctx: &mut Ctx<Settled<LockinOutcome>>, i: usize, mode: AddressingMode) {
     ctx.span_enter(
         "e1.market",
         Some("user"),
         &[("mode", mode.label()), ("switching_cost", &mode.switching_cost().to_string())],
     );
     let outcome = run_mode(mode, 30, 80);
-    let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-    ctx.trace_fields(
+    let lag = pace(
+        ctx,
         "e1.settled",
-        Some("user"),
-        &[("markup", &format!("{:.2}", outcome.markup)), ("lag_us", &lag.as_micros().to_string())],
+        "user",
+        &[("markup", &format!("{:.2}", outcome.markup))],
         format!("{} market settles; core routes install next", mode.label()),
     );
     ctx.span_exit(&[("markup", &format!("{:.2}", outcome.markup))]);
-    ctx.schedule_in(lag, move |w2: &mut LockinWorld, ctx2| {
+    ctx.schedule_in(lag, move |w2: &mut Settled<LockinOutcome>, ctx2| {
         ctx2.span_enter("e1.routing", Some("isp"), &[("mode", mode.label())]);
         ctx2.span_exit(&[("core_fib_entries", &outcome.core_fib_entries.to_string())]);
-        w2.outcomes.push((mode, outcome));
+        w2.put(i, outcome);
     });
 }
 
@@ -176,28 +171,13 @@ pub fn run(seed: u64) -> ExperimentReport {
         AddressingMode::ProviderAssignedDynamic,
         AddressingMode::ProviderIndependent,
     ];
-    let mut eng = Engine::new(LockinWorld::default(), seed);
-    for (i, mode) in modes.into_iter().enumerate() {
-        // Each addressing mode's market run is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |w: &mut LockinWorld, ctx| {
-            deploy_mode(w, ctx, mode);
-        });
-    }
-    eng.run_to_completion();
+    let outcomes = replay(seed, modes, |_, ctx, i, mode| deploy_mode(ctx, i, mode));
 
     let mut table = Table::new(
         "Lock-in and routing cost by addressing mode (duopoly, 30 consumers)",
         &["switching cost", "markup", "avg price", "core FIB entries"],
     );
-    let mut outcomes = Vec::new();
-    for mode in modes {
-        let o = eng
-            .world
-            .outcomes
-            .iter()
-            .find(|(m, _)| *m == mode)
-            .map(|(_, o)| o.clone())
-            .expect("every mode's chain settles");
+    for (mode, o) in modes.into_iter().zip(&outcomes) {
         table.push_row(
             mode.label(),
             &[
@@ -207,12 +187,9 @@ pub fn run(seed: u64) -> ExperimentReport {
                 o.core_fib_entries.to_string(),
             ],
         );
-        outcomes.push((mode, o));
     }
 
-    let pa = &outcomes[0].1;
-    let dhcp = &outcomes[1].1;
-    let pi = &outcomes[2].1;
+    let (pa, dhcp, pi) = (&outcomes[0], &outcomes[1], &outcomes[2]);
     // The paper's shape: static PA sustains the highest markup; both
     // consumer-favouring mechanisms discipline price; PI pays for it in
     // core routing state.

@@ -13,10 +13,11 @@
 //! under a monopoly and under competition (an alternative flat-rate
 //! provider the detected can flee to).
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{ExperimentReport, Table};
 use tussle_econ::{Money, PricingScheme, Usage};
 use tussle_net::tunnel::TunnelDetector;
-use tussle_sim::{Ctx, Engine, SimRng, SimTime};
+use tussle_sim::{Ctx, SimRng};
 
 /// One escalation rung's aggregate outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,17 +110,18 @@ pub fn run_rounds(competitive: bool, seed: u64) -> Vec<RoundOutcome> {
     (0..4).map(|round| round_outcome(round, competitive, &mut rng)).collect()
 }
 
-/// World for the engine-driven replay: settled rounds per regime.
-#[derive(Default)]
-struct PricingWorld {
-    mono: Vec<RoundOutcome>,
-    comp: Vec<RoundOutcome>,
-}
-
 /// One escalation rung as an engine event. Each rung schedules the rung it
 /// provokes after a seeded reaction lag, so the run's provenance records
-/// the escalation as a causal chain per regime.
-fn play_round(w: &mut PricingWorld, ctx: &mut Ctx<PricingWorld>, competitive: bool, round: usize) {
+/// the escalation as a causal chain per regime; the last rung settles the
+/// regime's rounds.
+fn play_round(
+    w: &mut Settled<Vec<RoundOutcome>>,
+    ctx: &mut Ctx<Settled<Vec<RoundOutcome>>>,
+    i: usize,
+    competitive: bool,
+    mut rounds: Vec<RoundOutcome>,
+) {
+    let round = rounds.len();
     // Round 2 (tunneling) is the consumers' move; the rest are the
     // provider's pricing moves.
     let actor = if round == 2 { "user" } else { "provider" };
@@ -127,17 +129,11 @@ fn play_round(w: &mut PricingWorld, ctx: &mut Ctx<PricingWorld>, competitive: bo
     ctx.span_enter("e2.round", Some(actor), &[("regime", regime), ("round", &round.to_string())]);
     let o = round_outcome(round, competitive, ctx.rng);
     if round + 1 < 4 {
-        let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-        ctx.trace_fields(
-            "e2.counter",
-            Some(actor),
-            &[("lag_us", &lag.as_micros().to_string())],
-            format!("{} provokes the next rung", o.round),
-        );
+        let lag =
+            pace(ctx, "e2.counter", actor, &[], format!("{} provokes the next rung", o.round));
         ctx.span_exit(&[("revenue", &o.revenue.to_string())]);
-        ctx.schedule_in(lag, move |w2: &mut PricingWorld, ctx2| {
-            play_round(w2, ctx2, competitive, round + 1);
-        });
+        rounds.push(o);
+        ctx.schedule_in(lag, move |w2, ctx2| play_round(w2, ctx2, i, competitive, rounds));
     } else {
         ctx.trace_fields(
             "e2.settled",
@@ -146,21 +142,18 @@ fn play_round(w: &mut PricingWorld, ctx: &mut Ctx<PricingWorld>, competitive: bo
             format!("{regime} escalation settles at {}", o.round),
         );
         ctx.span_exit(&[("revenue", &o.revenue.to_string())]);
+        rounds.push(o);
+        w.put(i, rounds);
     }
-    if competitive { &mut w.comp } else { &mut w.mono }.push(o);
 }
 
 /// Run E2 and produce the report. Each regime's escalation plays out as a
 /// causally chained sequence of engine events on the shared clock.
 pub fn run(seed: u64) -> ExperimentReport {
-    let mut eng = Engine::new(PricingWorld::default(), seed);
-    for (i, competitive) in [false, true].into_iter().enumerate() {
-        // Each regime's opening rung is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |w: &mut PricingWorld, ctx| {
-            play_round(w, ctx, competitive, 0);
-        });
-    }
-    eng.run_to_completion();
+    let regimes = replay(seed, [false, true], |w, ctx, i, competitive| {
+        play_round(w, ctx, i, competitive, Vec::new())
+    });
+    let (mono, comp) = (&regimes[0], &regimes[1]);
 
     let mut table = Table::new(
         "Value-pricing escalation: provider revenue / server-runner surplus / departures",
@@ -172,9 +165,7 @@ pub fn run(seed: u64) -> ExperimentReport {
             "departed",
         ],
     );
-    let mono = eng.world.mono;
-    let comp = eng.world.comp;
-    for (m, c) in mono.iter().zip(&comp) {
+    for (m, c) in mono.iter().zip(comp) {
         table.push_row(
             m.round,
             &[

@@ -13,9 +13,9 @@
 //! wires monopoly, (b) the telco/cable duopoly, (c) municipal open-access
 //! fiber with several retail ISPs buying regulated wholesale.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{ExperimentReport, Table};
 use tussle_econ::{Consumer, Market, MarketReport, Money, Provider};
-use tussle_sim::{Engine, SimTime};
 
 /// The three §V.A.3 market structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,12 +117,6 @@ pub fn run_structure(structure: Structure, months: usize) -> BroadbandOutcome {
     BroadbandOutcome { report, wires_profit }
 }
 
-/// World for the engine-driven replay: settled outcomes per structure.
-#[derive(Default)]
-struct BroadbandWorld {
-    outcomes: Vec<(Structure, BroadbandOutcome)>,
-}
-
 /// Run E3 and produce the report. The market logic is pure; each structure
 /// plays as a two-event causal chain (the wires are built, then — after a
 /// seeded construction lag — the retail market settles) on the shared
@@ -131,42 +125,29 @@ pub fn run(seed: u64) -> ExperimentReport {
     let months = 80;
     let structures =
         [Structure::Monopoly, Structure::Duopoly, Structure::OpenAccessFiber { retail_isps: 4 }];
-    let mut eng = Engine::new(BroadbandWorld::default(), seed);
-    for (i, s) in structures.into_iter().enumerate() {
-        // Each structure's build-out is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |_w: &mut BroadbandWorld, ctx| {
-            ctx.span_enter("e3.buildout", Some("isp"), &[("structure", &s.label())]);
-            let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-            ctx.trace_fields(
-                "e3.wires",
-                Some("isp"),
-                &[("lag_us", &lag.as_micros().to_string())],
-                format!("{} wires go in; the retail market follows", s.label()),
-            );
-            ctx.span_exit(&[]);
-            ctx.schedule_in(lag, move |w2: &mut BroadbandWorld, ctx2| {
-                ctx2.span_enter("e3.market", Some("user"), &[("structure", &s.label())]);
-                let o = run_structure(s, months);
-                ctx2.span_exit(&[("served", &o.report.served.to_string())]);
-                w2.outcomes.push((s, o));
-            });
+    let outcomes = replay(seed, structures, move |_, ctx, i, s| {
+        ctx.span_enter("e3.buildout", Some("isp"), &[("structure", &s.label())]);
+        let lag = pace(
+            ctx,
+            "e3.wires",
+            "isp",
+            &[],
+            format!("{} wires go in; the retail market follows", s.label()),
+        );
+        ctx.span_exit(&[]);
+        ctx.schedule_in(lag, move |w2: &mut Settled<BroadbandOutcome>, ctx2| {
+            ctx2.span_enter("e3.market", Some("user"), &[("structure", &s.label())]);
+            let o = run_structure(s, months);
+            ctx2.span_exit(&[("served", &o.report.served.to_string())]);
+            w2.put(i, o);
         });
-    }
-    eng.run_to_completion();
+    });
 
     let mut table = Table::new(
         "Broadband market structure (40 consumers, WTP $40-$140)",
         &["avg price", "served", "consumer surplus", "wires-owner profit"],
     );
-    let mut outcomes = Vec::new();
-    for s in structures {
-        let o = eng
-            .world
-            .outcomes
-            .iter()
-            .find(|(st, _)| *st == s)
-            .map(|(_, o)| o.clone())
-            .expect("every structure's market settles");
+    for (s, o) in structures.into_iter().zip(&outcomes) {
         table.push_row(
             &s.label(),
             &[
@@ -176,7 +157,6 @@ pub fn run(seed: u64) -> ExperimentReport {
                 o.wires_profit.to_string(),
             ],
         );
-        outcomes.push(o);
     }
     let (mono, duo, open) = (&outcomes[0], &outcomes[1], &outcomes[2]);
     // Shape: open access gives the lowest price, the most service and the

@@ -12,6 +12,7 @@
 //! source routes with payment through the ledger (ISPs honor, premium path
 //! used, transit earns revenue).
 
+use crate::chain::{pace, replay, Settled};
 use std::collections::BTreeMap;
 use tussle_core::{ExperimentReport, Table};
 use tussle_econ::{AccountId, Ledger, Money};
@@ -20,7 +21,7 @@ use tussle_net::packet::{ports, Packet, Protocol};
 use tussle_net::{Network, NodeId};
 use tussle_routing::sourceroute::{authorize_route, enumerate_paths};
 use tussle_routing::AsGraph;
-use tussle_sim::{Ctx, Engine, SimRng, SimTime};
+use tussle_sim::{Ctx, SimRng, SimTime};
 
 /// The three §V.A.4 regimes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,11 +198,8 @@ pub fn run_regime(regime: Regime, n_packets: usize, seed: u64) -> RoutingOutcome
     outcome_of(&st)
 }
 
-/// World for the engine-driven replay: settled outcomes per regime.
-#[derive(Default)]
-struct RoutingWorld {
-    outcomes: Vec<(Regime, RoutingOutcome)>,
-}
+/// E4's replay world: each regime's settled flow outcome.
+type Flows = Settled<RoutingOutcome>;
 
 /// Flows per burst event in the engine replay.
 const BURST: usize = 25;
@@ -211,7 +209,7 @@ const N_FLOWS: usize = 200;
 /// One paced burst of flows as an engine event; each burst schedules the
 /// next after a seeded pacing lag, so a regime's 200 flows form one causal
 /// chain whose forwarding draws come from the engine's rng stream.
-fn run_burst(w: &mut RoutingWorld, ctx: &mut Ctx<RoutingWorld>, regime: Regime, mut st: FlowState) {
+fn run_burst(w: &mut Flows, ctx: &mut Ctx<Flows>, i: usize, regime: Regime, mut st: FlowState) {
     ctx.span_enter(
         "e4.burst",
         Some("user"),
@@ -220,17 +218,15 @@ fn run_burst(w: &mut RoutingWorld, ctx: &mut Ctx<RoutingWorld>, regime: Regime, 
     let n = BURST.min(N_FLOWS - st.sent);
     send_batch(&mut st, n, ctx.rng);
     if st.sent < N_FLOWS {
-        let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-        ctx.trace_fields(
+        let lag = pace(
+            ctx,
             "e4.pacing",
-            Some("user"),
-            &[("lag_us", &lag.as_micros().to_string())],
+            "user",
+            &[],
             format!("{} flows sent; next burst follows", st.sent),
         );
         ctx.span_exit(&[("delivered", &st.delivered.to_string())]);
-        ctx.schedule_in(lag, move |w2: &mut RoutingWorld, ctx2| {
-            run_burst(w2, ctx2, regime, st);
-        });
+        ctx.schedule_in(lag, move |w2, ctx2| run_burst(w2, ctx2, i, regime, st));
     } else {
         let o = outcome_of(&st);
         ctx.trace_fields(
@@ -240,7 +236,7 @@ fn run_burst(w: &mut RoutingWorld, ctx: &mut Ctx<RoutingWorld>, regime: Regime, 
             format!("{} settles", regime.label()),
         );
         ctx.span_exit(&[("delivered", &st.delivered.to_string())]);
-        w.outcomes.push((regime, o));
+        w.put(i, o);
     }
 }
 
@@ -248,31 +244,19 @@ fn run_burst(w: &mut RoutingWorld, ctx: &mut Ctx<RoutingWorld>, regime: Regime, 
 /// chain of burst events on the shared engine clock.
 pub fn run(seed: u64) -> ExperimentReport {
     let regimes = [Regime::ProviderRouting, Regime::SourceRoutingUnpaid, Regime::SourceRoutingPaid];
-    let mut eng = Engine::new(RoutingWorld::default(), seed);
-    for (i, regime) in regimes.into_iter().enumerate() {
+    let outcomes = replay(seed, regimes, |w, ctx, i, regime| {
         // Each regime's route choice (and payment) is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |w: &mut RoutingWorld, ctx| {
-            ctx.span_enter("e4.route_choice", Some("provider"), &[("regime", regime.label())]);
-            let st = flow_state(regime);
-            ctx.span_exit(&[("paid", &(regime == Regime::SourceRoutingPaid).to_string())]);
-            run_burst(w, ctx, regime, st);
-        });
-    }
-    eng.run_to_completion();
+        ctx.span_enter("e4.route_choice", Some("provider"), &[("regime", regime.label())]);
+        let st = flow_state(regime);
+        ctx.span_exit(&[("paid", &(regime == Regime::SourceRoutingPaid).to_string())]);
+        run_burst(w, ctx, i, regime, st);
+    });
 
     let mut table = Table::new(
         "Wide-area path control (200 VoIP flows; cheap transit 80ms, premium 10ms)",
         &["delivery rate", "mean latency (ms)", "premium transit revenue"],
     );
-    let mut outcomes = Vec::new();
-    for r in regimes {
-        let o = eng
-            .world
-            .outcomes
-            .iter()
-            .find(|(reg, _)| *reg == r)
-            .map(|(_, o)| o.clone())
-            .expect("every regime's flow settles");
+    for (r, o) in regimes.into_iter().zip(&outcomes) {
         table.push_row(
             r.label(),
             &[
@@ -281,7 +265,6 @@ pub fn run(seed: u64) -> ExperimentReport {
                 o.premium_transit_revenue.to_string(),
             ],
         );
-        outcomes.push(o);
     }
     let (bgp, unpaid, paid) = (&outcomes[0], &outcomes[1], &outcomes[2]);
     let shape_holds = bgp.delivery_rate > 0.99
@@ -315,6 +298,29 @@ pub fn run(seed: u64) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tussle_sim::obs::{self, ObsMode};
+
+    /// The route cache is invisible to every regime: the full flow, sent
+    /// with and without it, delivers the same packets, consumes the same
+    /// rng words and leaves the same cost digest.
+    #[test]
+    fn route_cache_is_invisible_to_every_regime() {
+        let regimes =
+            [Regime::ProviderRouting, Regime::SourceRoutingUnpaid, Regime::SourceRoutingPaid];
+        for regime in regimes {
+            let send = |cached: bool| {
+                let mut st = flow_state(regime);
+                st.w.net.set_route_caching(cached);
+                let mut rng = SimRng::seed_from_u64(7).fork("e04");
+                let guard = obs::begin(ObsMode::Cost);
+                send_batch(&mut st, N_FLOWS, &mut rng);
+                let digest = guard.finish().digest;
+                let delivered = (st.sent, st.delivered, st.latency_total_ms.to_bits());
+                (delivered, st.ledger.total_received(AccountId(20)), rng.word_pos(), digest)
+            };
+            assert_eq!(send(true), send(false), "{}", regime.label());
+        }
+    }
 
     #[test]
     fn bgp_takes_the_slow_path() {

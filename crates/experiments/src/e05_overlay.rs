@@ -11,13 +11,14 @@
 //! with and without a RON-style overlay, plus the uncompensated transit
 //! hops the overlay pushes through the relay's access network.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{ExperimentReport, Table};
 use tussle_net::addr::{Address, AddressOrigin, Asn, Prefix};
 use tussle_net::firewall::{Firewall, FirewallAction, FirewallRule, MatchOn};
 use tussle_net::packet::{ports, Packet, Protocol};
 use tussle_net::{Network, NodeId};
 use tussle_routing::overlay::{Overlay, OverlayDelivery};
-use tussle_sim::{Ctx, Engine, SimRng, SimTime};
+use tussle_sim::{Ctx, SimRng, SimTime};
 
 /// What stresses the direct path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,11 +200,8 @@ pub fn run_condition(stress: Stress, n: usize, seed: u64) -> OverlayOutcome {
     outcome_of(&t)
 }
 
-/// World for the engine-driven replay: settled outcomes per condition.
-#[derive(Default)]
-struct StressWorld {
-    outcomes: Vec<(Stress, OverlayOutcome)>,
-}
+/// E5's replay world: each condition's settled probe outcome.
+type Probes = Settled<OverlayOutcome>;
 
 /// Probe pairs per burst event in the engine replay.
 const BURST: usize = 20;
@@ -211,7 +209,7 @@ const BURST: usize = 20;
 const N_PROBES: usize = 100;
 
 /// One paced probe burst as an engine event, chaining to the next burst.
-fn run_burst(w: &mut StressWorld, ctx: &mut Ctx<StressWorld>, stress: Stress, mut t: Tally) {
+fn run_burst(w: &mut Probes, ctx: &mut Ctx<Probes>, i: usize, stress: Stress, mut t: Tally) {
     ctx.span_enter(
         "e5.burst",
         Some("user"),
@@ -220,17 +218,15 @@ fn run_burst(w: &mut StressWorld, ctx: &mut Ctx<StressWorld>, stress: Stress, mu
     let n = BURST.min(N_PROBES - t.sent);
     probe_batch(&mut t, n, ctx.rng);
     if t.sent < N_PROBES {
-        let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-        ctx.trace_fields(
+        let lag = pace(
+            ctx,
             "e5.pacing",
-            Some("user"),
-            &[("lag_us", &lag.as_micros().to_string())],
+            "user",
+            &[],
             format!("{} probes sent; next burst follows", t.sent),
         );
         ctx.span_exit(&[("overlay_ok", &t.overlay_ok.to_string())]);
-        ctx.schedule_in(lag, move |w2: &mut StressWorld, ctx2| {
-            run_burst(w2, ctx2, stress, t);
-        });
+        ctx.schedule_in(lag, move |w2, ctx2| run_burst(w2, ctx2, i, stress, t));
     } else {
         let o = outcome_of(&t);
         ctx.trace_fields(
@@ -240,7 +236,7 @@ fn run_burst(w: &mut StressWorld, ctx: &mut Ctx<StressWorld>, stress: Stress, mu
             format!("{} condition settles", stress.label()),
         );
         ctx.span_exit(&[("overlay_ok", &t.overlay_ok.to_string())]);
-        w.outcomes.push((stress, o));
+        w.put(i, o);
     }
 }
 
@@ -248,31 +244,18 @@ fn run_burst(w: &mut StressWorld, ctx: &mut Ctx<StressWorld>, stress: Stress, mu
 /// chain of burst events on the shared engine clock.
 pub fn run(seed: u64) -> ExperimentReport {
     let conditions = [Stress::None, Stress::LinkFailure, Stress::PolicyBlock];
-    let mut eng = Engine::new(StressWorld::default(), seed);
-    for (i, stress) in conditions.into_iter().enumerate() {
-        // Each stress condition is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |w: &mut StressWorld, ctx| {
-            ctx.span_enter("e5.stress", Some("provider"), &[("stress", stress.label())]);
-            let t = Tally::new(stressed_world(stress));
-            ctx.span_exit(&[]);
-            run_burst(w, ctx, stress, t);
-        });
-    }
-    eng.run_to_completion();
+    let outcomes = replay(seed, conditions, |w, ctx, i, stress| {
+        ctx.span_enter("e5.stress", Some("provider"), &[("stress", stress.label())]);
+        let t = Tally::new(stressed_world(stress));
+        ctx.span_exit(&[]);
+        run_burst(w, ctx, i, stress, t);
+    });
 
     let mut table = Table::new(
         "Overlay resilience and its economic footprint (100 flows per condition)",
         &["direct delivery", "overlay delivery", "mean hops", "uncompensated relay-AS hops"],
     );
-    let mut outcomes = Vec::new();
-    for s in conditions {
-        let o = eng
-            .world
-            .outcomes
-            .iter()
-            .find(|(st, _)| *st == s)
-            .map(|(_, o)| o.clone())
-            .expect("every condition settles");
+    for (s, o) in conditions.into_iter().zip(&outcomes) {
         table.push_row(
             s.label(),
             &[
@@ -282,7 +265,6 @@ pub fn run(seed: u64) -> ExperimentReport {
                 o.uncompensated_hops.to_string(),
             ],
         );
-        outcomes.push(o);
     }
     let (healthy, fail, block) = (&outcomes[0], &outcomes[1], &outcomes[2]);
     let shape_holds = healthy.direct_rate > 0.99

@@ -13,12 +13,13 @@
 //! Measured: a traffic mix of known-good applications, attacks and novel
 //! applications from trusted parties, pushed through three border designs.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{ExperimentReport, Table};
 use tussle_net::addr::{Address, AddressOrigin, Asn, Prefix};
 use tussle_net::firewall::Firewall;
 use tussle_net::packet::{ports, Packet, Protocol};
 use tussle_net::{Network, NodeId};
-use tussle_sim::{Ctx, Engine, SimRng, SimTime};
+use tussle_sim::{Ctx, SimRng, SimTime};
 
 /// The three border designs compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,12 +157,6 @@ pub fn run_design(design: BorderDesign, n_each: usize, seed: u64) -> FirewallOut
     outcome_of(&t)
 }
 
-/// World for the engine-driven replay: settled outcomes per design.
-#[derive(Default)]
-struct BorderWorld {
-    outcomes: Vec<(BorderDesign, FirewallOutcome)>,
-}
-
 /// Flow triples per burst event in the engine replay.
 const BURST: usize = 40;
 /// Total flow triples per design.
@@ -169,8 +164,9 @@ const N_EACH: usize = 200;
 
 /// One paced traffic burst as an engine event, chaining to the next burst.
 fn run_burst(
-    w: &mut BorderWorld,
-    ctx: &mut Ctx<BorderWorld>,
+    w: &mut Settled<FirewallOutcome>,
+    ctx: &mut Ctx<Settled<FirewallOutcome>>,
+    i: usize,
     design: BorderDesign,
     mut t: DesignTally,
 ) {
@@ -182,17 +178,15 @@ fn run_burst(
     let n = BURST.min(N_EACH - t.sent);
     flow_batch(&mut t, n, ctx.rng);
     if t.sent < N_EACH {
-        let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-        ctx.trace_fields(
+        let lag = pace(
+            ctx,
             "e6.pacing",
-            Some("provider"),
-            &[("lag_us", &lag.as_micros().to_string())],
+            "provider",
+            &[],
             format!("{} flow triples pushed; next burst follows", t.sent),
         );
         ctx.span_exit(&[("attacks_through", &t.attacks_through.to_string())]);
-        ctx.schedule_in(lag, move |w2: &mut BorderWorld, ctx2| {
-            run_burst(w2, ctx2, design, t);
-        });
+        ctx.schedule_in(lag, move |w2, ctx2| run_burst(w2, ctx2, i, design, t));
     } else {
         let o = outcome_of(&t);
         ctx.trace_fields(
@@ -202,7 +196,7 @@ fn run_burst(
             format!("{} border settles", design.label()),
         );
         ctx.span_exit(&[("attacks_through", &t.attacks_through.to_string())]);
-        w.outcomes.push((design, o));
+        w.put(i, o);
     }
 }
 
@@ -211,28 +205,15 @@ fn run_burst(
 pub fn run(seed: u64) -> ExperimentReport {
     let designs =
         [BorderDesign::Transparent, BorderDesign::PortAllowlist, BorderDesign::TrustMediated];
-    let mut eng = Engine::new(BorderWorld::default(), seed);
-    for (i, design) in designs.into_iter().enumerate() {
-        // Each border design is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |w: &mut BorderWorld, ctx| {
-            run_burst(w, ctx, design, DesignTally::new(design));
-        });
-    }
-    eng.run_to_completion();
+    let outcomes = replay(seed, designs, |w, ctx, i, design| {
+        run_burst(w, ctx, i, design, DesignTally::new(design))
+    });
 
     let mut table = Table::new(
         "Border designs against a mixed workload (200 flows of each class)",
         &["attacks blocked", "known apps delivered", "novel apps delivered"],
     );
-    let mut outcomes = Vec::new();
-    for d in designs {
-        let o = eng
-            .world
-            .outcomes
-            .iter()
-            .find(|(dd, _)| *dd == d)
-            .map(|(_, o)| o.clone())
-            .expect("every design settles");
+    for (d, o) in designs.into_iter().zip(&outcomes) {
         table.push_row(
             d.label(),
             &[
@@ -241,7 +222,6 @@ pub fn run(seed: u64) -> ExperimentReport {
                 format!("{:.2}", o.novel_apps_ok),
             ],
         );
-        outcomes.push(o);
     }
     let (open, port, trust) = (&outcomes[0], &outcomes[1], &outcomes[2]);
     // Shape: transparency = no protection, full innovation. Port filters =

@@ -12,8 +12,9 @@
 //! escrow providers with different fees, to show choice disciplining the
 //! mediator market itself.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{ExperimentReport, Table};
-use tussle_sim::{Ctx, Engine, SimRng, SimTime};
+use tussle_sim::{Ctx, SimRng};
 use tussle_trust::mediator::{run_transaction, Mediator, ReputationBook, TransactionSetup};
 
 /// Mediation regimes compared.
@@ -143,12 +144,6 @@ pub fn run_regime(regime: Regime, seed: u64) -> MediationOutcome {
     outcome_of(&t)
 }
 
-/// World for the engine-driven replay: settled outcomes per regime.
-#[derive(Default)]
-struct MediationWorld {
-    outcomes: Vec<(Regime, MediationOutcome)>,
-}
-
 /// Transactions per burst event in the engine replay.
 const BURST: usize = 80;
 
@@ -158,8 +153,9 @@ const BURST: usize = 80;
 /// fraud rolls, the common-random-numbers pairing the regime comparison
 /// depends on. The engine rng still paces the bursts.
 fn run_burst(
-    w: &mut MediationWorld,
-    ctx: &mut Ctx<MediationWorld>,
+    w: &mut Settled<MediationOutcome>,
+    ctx: &mut Ctx<Settled<MediationOutcome>>,
+    i: usize,
     regime: Regime,
     mut t: RegimeTally,
     mut market_rng: SimRng,
@@ -172,17 +168,15 @@ fn run_burst(
     let n = BURST.min(N_TRANSACTIONS - t.done);
     trade_batch(&mut t, regime, n, &mut market_rng);
     if t.done < N_TRANSACTIONS {
-        let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-        ctx.trace_fields(
+        let lag = pace(
+            ctx,
             "e7.pacing",
-            Some("user"),
-            &[("lag_us", &lag.as_micros().to_string())],
+            "user",
+            &[],
             format!("{} transactions settled; next burst follows", t.done),
         );
         ctx.span_exit(&[("frauds", &t.frauds.to_string())]);
-        ctx.schedule_in(lag, move |w2: &mut MediationWorld, ctx2| {
-            run_burst(w2, ctx2, regime, t, market_rng);
-        });
+        ctx.schedule_in(lag, move |w2, ctx2| run_burst(w2, ctx2, i, regime, t, market_rng));
     } else {
         let o = outcome_of(&t);
         ctx.trace_fields(
@@ -192,7 +186,7 @@ fn run_burst(
             format!("{} market settles", regime.label()),
         );
         ctx.span_exit(&[("frauds", &t.frauds.to_string())]);
-        w.outcomes.push((regime, o));
+        w.put(i, o);
     }
 }
 
@@ -207,30 +201,17 @@ fn fee_of(m: &Mediator) -> i64 {
 /// causal chain of burst events on the shared engine clock.
 pub fn run(seed: u64) -> ExperimentReport {
     let regimes = [Regime::Unmediated, Regime::Escrow, Regime::Reputation, Regime::EscrowChoice];
-    let mut eng = Engine::new(MediationWorld::default(), seed);
-    for (i, regime) in regimes.into_iter().enumerate() {
-        // Each mediation regime is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |w: &mut MediationWorld, ctx| {
-            let mut market_rng = SimRng::seed_from_u64(seed).fork("e07");
-            let t = RegimeTally::new(&mut market_rng);
-            run_burst(w, ctx, regime, t, market_rng);
-        });
-    }
-    eng.run_to_completion();
+    let outcomes = replay(seed, regimes, move |w, ctx, i, regime| {
+        let mut market_rng = SimRng::seed_from_u64(seed).fork("e07");
+        let t = RegimeTally::new(&mut market_rng);
+        run_burst(w, ctx, i, regime, t, market_rng);
+    });
 
     let mut table = Table::new(
         "Commerce among strangers (400 transactions, 25% of sellers fraudulent)",
         &["buyer net ($)", "attempted", "frauds", "mediator fees ($)"],
     );
-    let mut outcomes = Vec::new();
-    for r in regimes {
-        let o = eng
-            .world
-            .outcomes
-            .iter()
-            .find(|(rr, _)| *rr == r)
-            .map(|(_, o)| o.clone())
-            .expect("every regime settles");
+    for (r, o) in regimes.into_iter().zip(&outcomes) {
         table.push_row(
             r.label(),
             &[
@@ -240,7 +221,6 @@ pub fn run(seed: u64) -> ExperimentReport {
                 format!("{:.2}", o.fees as f64 / 1e6),
             ],
         );
-        outcomes.push(o);
     }
     let (raw, escrow, rep, choice) = (&outcomes[0], &outcomes[1], &outcomes[2], &outcomes[3]);
     let shape_holds = escrow.buyer_net_total > raw.buyer_net_total

@@ -12,8 +12,8 @@
 //! receivers with mixed anonymity policies; we record reach (acceptance),
 //! limitation, and whether disguised anonymity is detected.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{ExperimentReport, Table};
-use tussle_sim::{Engine, SimTime};
 use tussle_trust::identity::{AnonymityPolicy, IdentityFramework, IdentityScheme};
 
 /// Aggregate outcome for one identity scheme.
@@ -68,12 +68,6 @@ pub fn run_scheme(scheme: &IdentityScheme) -> IdentityOutcome {
     }
 }
 
-/// World for the engine-driven replay: settled outcomes per scheme.
-#[derive(Default)]
-struct IdentityWorld {
-    outcomes: Vec<(&'static str, IdentityOutcome)>,
-}
-
 /// Run E8 and produce the report. The admission logic is pure; each scheme
 /// plays as a two-event causal chain (the sender presents credentials,
 /// then — after a seeded challenge lag — the receiver population rules) on
@@ -86,42 +80,29 @@ pub fn run(seed: u64) -> ExperimentReport {
         ("anonymous", IdentityScheme::Anonymous),
         ("forged tag", IdentityScheme::ForgedTag { fake: 9999 }),
     ];
-    let mut eng = Engine::new(IdentityWorld::default(), seed);
-    for (i, (label, scheme)) in schemes.iter().cloned().enumerate() {
-        // Each identity scheme's approach is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |_w: &mut IdentityWorld, ctx| {
-            ctx.span_enter("e8.present", Some("user"), &[("scheme", label)]);
-            let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-            ctx.trace_fields(
-                "e8.challenge",
-                Some("provider"),
-                &[("lag_us", &lag.as_micros().to_string())],
-                format!("{label} credentials presented; receivers deliberate"),
-            );
-            ctx.span_exit(&[]);
-            ctx.schedule_in(lag, move |w2: &mut IdentityWorld, ctx2| {
-                ctx2.span_enter("e8.ruling", Some("provider"), &[("scheme", label)]);
-                let o = run_scheme(&scheme);
-                ctx2.span_exit(&[("reach", &format!("{:.2}", o.reach))]);
-                w2.outcomes.push((label, o));
-            });
+    let outcomes = replay(seed, schemes.clone(), |_, ctx, i, (label, scheme)| {
+        ctx.span_enter("e8.present", Some("user"), &[("scheme", label)]);
+        let lag = pace(
+            ctx,
+            "e8.challenge",
+            "provider",
+            &[],
+            format!("{label} credentials presented; receivers deliberate"),
+        );
+        ctx.span_exit(&[]);
+        ctx.schedule_in(lag, move |w2: &mut Settled<IdentityOutcome>, ctx2| {
+            ctx2.span_enter("e8.ruling", Some("provider"), &[("scheme", label)]);
+            let o = run_scheme(&scheme);
+            ctx2.span_exit(&[("reach", &format!("{:.2}", o.reach))]);
+            w2.put(i, o);
         });
-    }
-    eng.run_to_completion();
+    });
 
     let mut table = Table::new(
         "Reach by identity scheme (30 receivers: accept-all / refuse-anon / limit-anon)",
         &["reach", "limited", "disguise detected"],
     );
-    let mut outcomes = Vec::new();
-    for (label, _) in &schemes {
-        let o = eng
-            .world
-            .outcomes
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, o)| o.clone())
-            .expect("every scheme's ruling settles");
+    for ((label, _), o) in schemes.iter().zip(&outcomes) {
         table.push_row(
             label,
             &[
@@ -130,7 +111,6 @@ pub fn run(seed: u64) -> ExperimentReport {
                 o.disguise_detected.to_string(),
             ],
         );
-        outcomes.push(o);
     }
     let certified = &outcomes[0];
     let role = &outcomes[2];

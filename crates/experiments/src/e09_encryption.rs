@@ -15,10 +15,11 @@
 //! state monopoly; the provider's decision to block is driven by a profit
 //! comparison (blocking loses customers only where customers can leave).
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::escalation::EscalationLadder;
 use tussle_core::{ExperimentReport, Mechanism, Table};
 use tussle_econ::Money;
-use tussle_sim::{Ctx, Engine, SimTime};
+use tussle_sim::Ctx;
 
 /// Market regimes of §VI.A.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,12 +124,6 @@ pub fn run_regime(regime: MarketRegime) -> EncryptionOutcome {
     }
 }
 
-/// World for the engine-driven ladder replay: settled outcomes per regime.
-#[derive(Default)]
-struct LadderWorld {
-    outcomes: Vec<(MarketRegime, EncryptionOutcome)>,
-}
-
 /// One deployment rung as an engine event. Each counter-move is scheduled
 /// *by the rung it answers* after a seeded reaction lag, so the run's
 /// provenance records the escalation as a causal chain — exactly the
@@ -136,8 +131,9 @@ struct LadderWorld {
 /// their trace streams (the lags are rng draws), which is what
 /// `tussle-cli diff` bisects.
 fn deploy(
-    w: &mut LadderWorld,
-    ctx: &mut Ctx<LadderWorld>,
+    w: &mut Settled<EncryptionOutcome>,
+    ctx: &mut Ctx<Settled<EncryptionOutcome>>,
+    i: usize,
     regime: MarketRegime,
     steps: Vec<Mechanism>,
     rung: usize,
@@ -157,16 +153,11 @@ fn deploy(
     if rung + 1 < steps.len() {
         // The counter takes time to procure and roll out; the lag is the
         // run's seed-dependent texture.
-        let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-        ctx.trace_fields(
-            "e9.counter",
-            Some(actor),
-            &[("lag_us", &lag.as_micros().to_string())],
-            format!("{mech_label} provokes a counter-move"),
-        );
+        let lag =
+            pace(ctx, "e9.counter", actor, &[], format!("{mech_label} provokes a counter-move"));
         ctx.span_exit(&[("countered", "true")]);
-        ctx.schedule_in(lag, move |w2: &mut LadderWorld, ctx2| {
-            deploy(w2, ctx2, regime, steps, rung + 1, outcome);
+        ctx.schedule_in(lag, move |w2, ctx2| {
+            deploy(w2, ctx2, i, regime, steps, rung + 1, outcome);
         });
     } else {
         ctx.trace_fields(
@@ -176,26 +167,19 @@ fn deploy(
             format!("{} settles at {mech_label}", regime.label()),
         );
         ctx.span_exit(&[("countered", "false")]);
-        w.outcomes.push((regime, outcome));
+        w.put(i, outcome);
     }
 }
 
 /// Run E9 and produce the report. The ladder decisions are pure profit
 /// comparisons; the engine replay gives them a causal event structure.
 pub fn run(seed: u64) -> ExperimentReport {
-    let mut eng = Engine::new(LadderWorld::default(), seed);
-    for (i, regime) in
-        [MarketRegime::Competitive, MarketRegime::StateMonopoly].into_iter().enumerate()
-    {
-        // Each regime's opening move is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |w: &mut LadderWorld, ctx| {
-            let steps: Vec<Mechanism> =
-                play_ladder(regime).steps.iter().map(|s| s.mechanism).collect();
-            let outcome = run_regime(regime);
-            deploy(w, ctx, regime, steps, 0, outcome);
-        });
-    }
-    eng.run_to_completion();
+    let regimes = [MarketRegime::Competitive, MarketRegime::StateMonopoly];
+    let outcomes = replay(seed, regimes, |w, ctx, i, regime| {
+        let steps: Vec<Mechanism> = play_ladder(regime).steps.iter().map(|s| s.mechanism).collect();
+        let outcome = run_regime(regime);
+        deploy(w, ctx, i, regime, steps, 0, outcome);
+    });
 
     let mut table = Table::new(
         "The encryption escalation ladder by market regime",
@@ -207,15 +191,7 @@ pub fn run(seed: u64) -> ExperimentReport {
             "provider profit",
         ],
     );
-    let mut outcomes = Vec::new();
-    for regime in [MarketRegime::Competitive, MarketRegime::StateMonopoly] {
-        let o = eng
-            .world
-            .outcomes
-            .iter()
-            .find(|(r, _)| *r == regime)
-            .map(|(_, o)| o.clone())
-            .expect("every regime's ladder settles");
+    for (regime, o) in regimes.into_iter().zip(&outcomes) {
         table.push_row(
             regime.label(),
             &[
@@ -226,7 +202,6 @@ pub fn run(seed: u64) -> ExperimentReport {
                 o.provider_profit.to_string(),
             ],
         );
-        outcomes.push(o);
     }
     let (comp, mono) = (&outcomes[0], &outcomes[1]);
     let shape_holds = !comp.provider_blocked

@@ -13,9 +13,10 @@
 //! each cell of the 2×2 {value transfer, provider choice}; a final row
 //! shows the closed/vertically-integrated deployment that needs neither.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{ExperimentReport, Table};
 use tussle_econ::{InvestmentCase, Money};
-use tussle_sim::{Ctx, Engine, SimRng, SimTime};
+use tussle_sim::{Ctx, SimRng, SimTime};
 
 /// Deployment results for one cell of the factorial.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,23 +84,20 @@ pub fn run_closed(seed: u64) -> QosCell {
 /// deterministic shape (only the inter-cell lag is seeded).
 const EVAL_MICROS_PER_ISP: u64 = 250;
 
-/// World for the engine-driven replay: the factorial cells, then the
-/// closed-deployment corollary, settled in board-meeting order.
-#[derive(Default)]
-struct QosWorld {
-    cells: Vec<QosCell>,
-    closed: Option<QosCell>,
-}
+/// E10's replay world. Its one chain settles the four factorial cells,
+/// then the closed-deployment corollary.
+type Meetings = Settled<(Vec<QosCell>, QosCell)>;
 
 /// One board meeting as a pair of engine events: the span opens when the
 /// boards convene and closes one eval period later, so the run's
 /// flamegraph (`tests/golden/E10.collapsed`) keeps real virtual-time
 /// widths. Meetings chain sequentially — each close schedules the next
-/// cell after a seeded scheduling lag.
-fn board_meeting(_w: &mut QosWorld, ctx: &mut Ctx<QosWorld>, idx: usize, seed: u64) {
+/// cell after a seeded scheduling lag — carrying the settled `cells`.
+fn board_meeting(ctx: &mut Ctx<Meetings>, seed: u64, mut cells: Vec<QosCell>) {
     // The factorial in deployment order, then the closed corollary.
     const FACTORIAL: [(bool, bool); 4] =
         [(false, false), (true, false), (false, true), (true, true)];
+    let idx = cells.len();
     let closed_round = idx >= FACTORIAL.len();
     let (vt, pc) = if closed_round { (true, false) } else { FACTORIAL[idx] };
     ctx.span_enter(
@@ -109,7 +107,7 @@ fn board_meeting(_w: &mut QosWorld, ctx: &mut Ctx<QosWorld>, idx: usize, seed: u
     );
     let cell = if closed_round { run_closed(seed) } else { run_cell(vt, pc, seed) };
     let eval = SimTime::from_micros(EVAL_MICROS_PER_ISP * cell.isps as u64);
-    ctx.schedule_in(eval, move |w2: &mut QosWorld, ctx2| {
+    ctx.schedule_in(eval, move |w2, ctx2| {
         ctx2.span_exit(&[("deployments", &cell.deployments.to_string())]);
         if closed_round {
             ctx2.trace_fields(
@@ -118,19 +116,17 @@ fn board_meeting(_w: &mut QosWorld, ctx: &mut Ctx<QosWorld>, idx: usize, seed: u
                 &[("deployments", &cell.deployments.to_string())],
                 "closed-QoS corollary settles",
             );
-            w2.closed = Some(cell);
+            w2.put(0, (cells, cell));
         } else {
-            let lag = SimTime::from_micros(ctx2.rng.range(100..5_000u64));
-            ctx2.trace_fields(
+            let lag = pace(
+                ctx2,
                 "e10.adjourn",
-                Some("isp"),
-                &[("lag_us", &lag.as_micros().to_string())],
+                "isp",
+                &[],
                 format!("cell {idx} adjourns; next board convenes"),
             );
-            w2.cells.push(cell);
-            ctx2.schedule_in(lag, move |w3: &mut QosWorld, ctx3| {
-                board_meeting(w3, ctx3, idx + 1, seed);
-            });
+            cells.push(cell);
+            ctx2.schedule_in(lag, move |_, ctx3| board_meeting(ctx3, seed, cells));
         }
     });
 }
@@ -138,19 +134,13 @@ fn board_meeting(_w: &mut QosWorld, ctx: &mut Ctx<QosWorld>, idx: usize, seed: u
 /// Run E10 and produce the report. The five board meetings run as one
 /// sequential causal chain of engine events on the shared clock.
 pub fn run(seed: u64) -> ExperimentReport {
-    let mut eng = Engine::new(QosWorld::default(), seed);
-    // The first board meeting is the chain's root injection.
-    eng.schedule_at(SimTime::ZERO, move |w: &mut QosWorld, ctx| {
-        board_meeting(w, ctx, 0, seed);
-    });
-    eng.run_to_completion();
+    let (cells, closed) =
+        replay(seed, [()], move |_, ctx, _, ()| board_meeting(ctx, seed, Vec::new())).remove(0);
 
     let mut table = Table::new(
         "Open-QoS deployment across the fear/greed factorial (5 ISPs, cost $80-$140)",
         &["value transfer", "provider choice", "ISPs deploying"],
     );
-    let cells = eng.world.cells;
-    assert_eq!(cells.len(), 4, "every factorial cell settles");
     for c in &cells {
         table.push_row(
             &format!(
@@ -165,7 +155,6 @@ pub fn run(seed: u64) -> ExperimentReport {
             ],
         );
     }
-    let closed = eng.world.closed.expect("the closed corollary settles");
     table.push_row(
         "closed QoS (vertical integration)",
         &["true".into(), "false".into(), format!("{}/{}", closed.deployments, closed.isps)],

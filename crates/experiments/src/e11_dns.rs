@@ -13,11 +13,12 @@
 //! Collateral damage = services whose *machine* resolution breaks; the
 //! separated design pays for its isolation with an extra resolution step.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{principles::spillover, ExperimentReport, Table};
 use tussle_names::namespace::{Name, Registry};
 use tussle_names::separated::{MachineId, SeparatedNaming};
 use tussle_names::trademark::{DisputeProcess, Trademark};
-use tussle_sim::{Engine, SimRng, SimTime};
+use tussle_sim::SimRng;
 
 /// Outcome for one naming design.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,12 +122,6 @@ pub fn run_separated(seed: u64) -> NamingOutcome {
     }
 }
 
-/// World for the engine-driven replay: settled outcomes per design.
-#[derive(Default)]
-struct NamingWorld {
-    outcomes: Vec<(&'static str, NamingOutcome)>,
-}
-
 /// Run E11 and produce the report. The naming logic is pure; each design
 /// plays as a two-event causal chain (registrations land, then — after a
 /// seeded docket lag — the trademark disputes are adjudicated) on the
@@ -134,43 +129,29 @@ struct NamingWorld {
 pub fn run(seed: u64) -> ExperimentReport {
     type Design = (&'static str, fn(u64) -> NamingOutcome);
     let designs: [Design; 2] = [("entangled", run_entangled), ("separated", run_separated)];
-    let mut eng = Engine::new(NamingWorld::default(), seed);
-    for (i, (label, design)) in designs.into_iter().enumerate() {
-        // Each naming design is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |_w: &mut NamingWorld, ctx| {
-            ctx.span_enter("e11.register", Some("provider"), &[("design", label)]);
-            let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-            ctx.trace_fields(
-                "e11.docket",
-                Some("provider"),
-                &[("lag_us", &lag.as_micros().to_string())],
-                format!("{label} registrations land; disputes reach the docket"),
-            );
-            ctx.span_exit(&[]);
-            ctx.schedule_in(lag, move |w2: &mut NamingWorld, ctx2| {
-                ctx2.span_enter("e11.adjudicate", Some("user"), &[("design", label)]);
-                let o = design(seed);
-                ctx2.span_exit(&[("broken_services", &o.broken_services.to_string())]);
-                w2.outcomes.push((label, o));
-            });
+    let outcomes = replay(seed, designs, move |_, ctx, i, (label, design)| {
+        ctx.span_enter("e11.register", Some("provider"), &[("design", label)]);
+        let lag = pace(
+            ctx,
+            "e11.docket",
+            "provider",
+            &[],
+            format!("{label} registrations land; disputes reach the docket"),
+        );
+        ctx.span_exit(&[]);
+        ctx.schedule_in(lag, move |w2: &mut Settled<NamingOutcome>, ctx2| {
+            ctx2.span_enter("e11.adjudicate", Some("user"), &[("design", label)]);
+            let o = design(seed);
+            ctx2.span_exit(&[("broken_services", &o.broken_services.to_string())]);
+            w2.put(i, o);
         });
-    }
-    eng.run_to_completion();
-    let settled = |label: &str| {
-        eng.world
-            .outcomes
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map(|(_, o)| o.clone())
-            .expect("every design's docket clears")
-    };
-    let ent = settled("entangled");
-    let sep = settled("separated");
+    });
+    let (ent, sep) = (&outcomes[0], &outcomes[1]);
     let mut table = Table::new(
         "Trademark disputes vs. machine naming (20 registrations, 3 marks)",
         &["disputes", "broken services", "machine reachability", "resolution steps"],
     );
-    for (label, o) in [("entangled (DNS)", &ent), ("separated (ids + directory)", &sep)] {
+    for (label, o) in [("entangled (DNS)", ent), ("separated (ids + directory)", sep)] {
         table.push_row(
             label,
             &[

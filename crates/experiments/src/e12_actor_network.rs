@@ -12,9 +12,10 @@
 //! rates; we record whether (and when) the network freezes, final tussle
 //! energy, and durability.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_actors::{ActorKind, ActorNetwork, ChurnProcess, FreezeDetector};
 use tussle_core::{ExperimentReport, Table};
-use tussle_sim::{Ctx, Engine, SimRng, SimTime};
+use tussle_sim::{Ctx, SimRng};
 
 /// Outcome for one arrival rate.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,12 +86,8 @@ pub fn run_rate(rate: f64, steps: usize, seed: u64) -> ChurnOutcome {
     outcome_of(&t)
 }
 
-/// World for the engine-driven replay: settled outcomes per rate. Rates
-/// are keyed by their table label to avoid float comparisons.
-#[derive(Default)]
-struct ChurnWorld {
-    outcomes: Vec<(String, ChurnOutcome)>,
-}
+/// E12's replay world: each arrival rate's settled churn outcome.
+type Rates = Settled<ChurnOutcome>;
 
 /// Churn steps per epoch event in the engine replay.
 const EPOCH: usize = 150;
@@ -98,8 +95,7 @@ const EPOCH: usize = 150;
 const STEPS: usize = 600;
 
 /// One churn epoch as an engine event, chaining to the next epoch.
-fn run_epoch(w: &mut ChurnWorld, ctx: &mut Ctx<ChurnWorld>, rate: f64, mut t: RateTally) {
-    let label = format!("rate={rate}");
+fn run_epoch(w: &mut Rates, ctx: &mut Ctx<Rates>, i: usize, rate: f64, mut t: RateTally) {
     ctx.span_enter(
         "e12.epoch",
         Some("society"),
@@ -108,27 +104,25 @@ fn run_epoch(w: &mut ChurnWorld, ctx: &mut Ctx<ChurnWorld>, rate: f64, mut t: Ra
     let n = EPOCH.min(STEPS - t.done);
     churn_batch(&mut t, n, ctx.rng);
     if t.done < STEPS {
-        let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-        ctx.trace_fields(
+        let lag = pace(
+            ctx,
             "e12.pacing",
-            Some("society"),
-            &[("lag_us", &lag.as_micros().to_string())],
+            "society",
+            &[],
             format!("{} steps churned; next epoch follows", t.done),
         );
         ctx.span_exit(&[("entrants", &t.churn.entrants().to_string())]);
-        ctx.schedule_in(lag, move |w2: &mut ChurnWorld, ctx2| {
-            run_epoch(w2, ctx2, rate, t);
-        });
+        ctx.schedule_in(lag, move |w2, ctx2| run_epoch(w2, ctx2, i, rate, t));
     } else {
         let o = outcome_of(&t);
         ctx.trace_fields(
             "e12.settled",
             Some("society"),
             &[("frozen", &o.frozen_at.is_some().to_string())],
-            format!("{label} evolution settles"),
+            format!("rate={rate} evolution settles"),
         );
         ctx.span_exit(&[("entrants", &o.entrants.to_string())]);
-        w.outcomes.push((label, o));
+        w.put(i, o);
     }
 }
 
@@ -136,28 +130,14 @@ fn run_epoch(w: &mut ChurnWorld, ctx: &mut Ctx<ChurnWorld>, rate: f64, mut t: Ra
 /// as a causal chain of epoch events on the shared engine clock.
 pub fn run(seed: u64) -> ExperimentReport {
     let rates = [0.0, 0.05, 0.5, 2.0];
-    let mut eng = Engine::new(ChurnWorld::default(), seed);
-    for (i, rate) in rates.into_iter().enumerate() {
-        // Each arrival rate is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |w: &mut ChurnWorld, ctx| {
-            run_epoch(w, ctx, rate, RateTally::new(rate));
-        });
-    }
-    eng.run_to_completion();
+    let outcomes =
+        replay(seed, rates, |w, ctx, i, rate| run_epoch(w, ctx, i, rate, RateTally::new(rate)));
 
     let mut table = Table::new(
         "Actor-network evolution vs. entrant arrival rate (600 steps)",
         &["entrants", "frozen at step", "final tussle energy", "final durability"],
     );
-    let mut outcomes = Vec::new();
-    for rate in rates {
-        let o = eng
-            .world
-            .outcomes
-            .iter()
-            .find(|(l, _)| *l == format!("rate={rate}"))
-            .map(|(_, o)| o.clone())
-            .expect("every rate settles");
+    for (rate, o) in rates.into_iter().zip(&outcomes) {
         table.push_row(
             &format!("rate={rate}"),
             &[
@@ -167,7 +147,6 @@ pub fn run(seed: u64) -> ExperimentReport {
                 format!("{:.2}", o.final_durability),
             ],
         );
-        outcomes.push(o);
     }
     let closed = &outcomes[0];
     let busy = &outcomes[2];

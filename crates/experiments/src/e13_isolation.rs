@@ -14,11 +14,12 @@
 //! ToS-keyed design is indifferent. We also measure the gaming distortion:
 //! port-keyed premium can be stolen by disguised bulk traffic.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{principles::spillover, ExperimentReport, Table};
 use tussle_net::addr::{Address, AddressOrigin, Prefix};
 use tussle_net::packet::{ports, Packet, Protocol};
 use tussle_net::qos::{QosPolicy, ServiceClass};
-use tussle_sim::{Ctx, Engine, SimRng, SimTime};
+use tussle_sim::{Ctx, SimRng};
 
 /// Outcome for one (design, encryption-adoption) point.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,14 +92,6 @@ pub fn run_point(
     point_outcome(policy, encryption_adoption, n, &mut rng)
 }
 
-/// World for the engine-driven replay: per design, outcomes in adoption
-/// order.
-#[derive(Default)]
-struct IsolationWorld {
-    tos_points: Vec<IsolationOutcome>,
-    port_points: Vec<IsolationOutcome>,
-}
-
 /// Flows per grid point.
 const N_FLOWS: usize = 500;
 /// The encryption-adoption sweep, in spreading order.
@@ -106,13 +99,15 @@ const ADOPTIONS: [f64; 3] = [0.0, 0.5, 1.0];
 
 /// One (design, adoption) grid point as an engine event. Adoption spreads
 /// causally: each point schedules the next adoption level after a seeded
-/// deployment lag.
+/// deployment lag; the last level settles the design's `points`.
 fn run_adoption(
-    w: &mut IsolationWorld,
-    ctx: &mut Ctx<IsolationWorld>,
+    w: &mut Settled<Vec<IsolationOutcome>>,
+    ctx: &mut Ctx<Settled<Vec<IsolationOutcome>>>,
+    i: usize,
     tos_keyed: bool,
-    idx: usize,
+    mut points: Vec<IsolationOutcome>,
 ) {
+    let idx = points.len();
     let a = ADOPTIONS[idx];
     let design = if tos_keyed { "tos" } else { "port" };
     ctx.span_enter(
@@ -127,41 +122,33 @@ fn run_adoption(
     };
     let o = point_outcome(&policy, a, N_FLOWS, ctx.rng);
     ctx.span_exit(&[("honored", &format!("{:.2}", o.premium_honored))]);
-    if tos_keyed { &mut w.tos_points } else { &mut w.port_points }.push(o);
+    points.push(o);
     if idx + 1 < ADOPTIONS.len() {
-        let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-        ctx.trace_fields(
+        let lag = pace(
+            ctx,
             "e13.spread",
-            Some("user"),
-            &[("lag_us", &lag.as_micros().to_string())],
+            "user",
+            &[],
             format!("{design}-keyed: encryption adoption spreads past {:.0}%", a * 100.0),
         );
-        ctx.schedule_in(lag, move |w2: &mut IsolationWorld, ctx2| {
-            run_adoption(w2, ctx2, tos_keyed, idx + 1);
-        });
+        ctx.schedule_in(lag, move |w2, ctx2| run_adoption(w2, ctx2, i, tos_keyed, points));
+    } else {
+        w.put(i, points);
     }
 }
 
 /// Run E13 and produce the report. Each classifier design's adoption sweep
 /// runs as a causal chain of engine events on the shared clock.
 pub fn run(seed: u64) -> ExperimentReport {
-    let mut eng = Engine::new(IsolationWorld::default(), seed);
-    for (i, tos_keyed) in [true, false].into_iter().enumerate() {
-        // Each classifier design is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |w: &mut IsolationWorld, ctx| {
-            run_adoption(w, ctx, tos_keyed, 0);
-        });
-    }
-    eng.run_to_completion();
+    let designs = replay(seed, [true, false], |w, ctx, i, tos_keyed| {
+        run_adoption(w, ctx, i, tos_keyed, Vec::new())
+    });
+    let (tos_points, port_points) = (&designs[0], &designs[1]);
 
     let mut table = Table::new(
         "Premium honored for paying VoIP flows vs. encryption adoption (500 flows)",
         &["ToS-keyed honored", "port-keyed honored", "port-keyed stolen by masquerade"],
     );
-    let tos_points = eng.world.tos_points;
-    let port_points = eng.world.port_points;
-    assert_eq!(tos_points.len(), ADOPTIONS.len(), "every grid point settles");
-    assert_eq!(port_points.len(), ADOPTIONS.len(), "every grid point settles");
     for (i, a) in ADOPTIONS.into_iter().enumerate() {
         table.push_row(
             &format!("encryption {:.0}%", a * 100.0),

@@ -12,12 +12,13 @@
 //!    mixed equilibrium of a purely conflicting game and the payoff-
 //!    dominant outcome of a coordination game.
 
+use crate::chain::{lag, pace, replay, Settled};
 use tussle_core::{ExperimentReport, Table};
 use tussle_game::auction::truthful_vs_deviation;
 use tussle_game::repeated::CongestionGame;
 use tussle_game::solve::is_nash;
 use tussle_game::{FictitiousPlay, Game};
-use tussle_sim::{Ctx, Engine, SimRng, SimTime};
+use tussle_sim::{Ctx, SimRng};
 
 /// Vickrey truthfulness over random profiles drawn from `rng`: count of
 /// profitable deviations found (paper prediction: zero).
@@ -63,60 +64,63 @@ const PRESSURES: [f64; 4] = [0.0, 0.3, 0.8, 1.5];
 /// Vickrey profiles sampled.
 const TRIALS: usize = 2_000;
 
-/// World for the engine-driven replay: the three sub-games' results.
+/// What E14's one chain settles: the three sub-games' results, filled in
+/// phase by phase as the chain carries them along.
 #[derive(Default)]
-struct GameWorld {
-    violations: Option<usize>,
+struct Games {
+    violations: usize,
     defection: Vec<f64>,
-    fp_error: Option<f64>,
-    coord: Option<(f64, bool)>,
+    fp_error: f64,
+    coord: (f64, bool),
 }
 
 /// One congestion-game pressure level as a span carried across two engine
 /// events (enter → evolve → exit after a seeded settling period), chaining
 /// to the next level; the last level hands off to the learning sub-game.
-fn pressure_level(w: &mut GameWorld, ctx: &mut Ctx<GameWorld>, idx: usize) {
+fn pressure_level(ctx: &mut Ctx<Settled<Games>>, mut games: Games) {
+    let idx = games.defection.len();
     let p = PRESSURES[idx];
     ctx.span_enter("e14.congestion", Some("user"), &[("pressure", &p.to_string())]);
     let d = compliance_at(p);
-    w.defection.push(d);
-    let settle = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-    ctx.trace_fields(
+    games.defection.push(d);
+    let settle = pace(
+        ctx,
         "e14.evolved",
-        Some("user"),
-        &[("defectors", &format!("{d:.3}")), ("lag_us", &settle.as_micros().to_string())],
+        "user",
+        &[("defectors", &format!("{d:.3}"))],
         format!("pressure {p}: defector share settles at {d:.3}"),
     );
-    ctx.schedule_in(settle, move |w2: &mut GameWorld, ctx2| {
-        ctx2.span_exit(&[("defectors", &format!("{:.3}", w2.defection[idx]))]);
+    ctx.schedule_in(settle, move |_, ctx2| {
+        ctx2.span_exit(&[("defectors", &format!("{d:.3}"))]);
         if idx + 1 < PRESSURES.len() {
-            pressure_level(w2, ctx2, idx + 1);
+            pressure_level(ctx2, games);
         } else {
-            learning_phase(w2, ctx2);
+            learning_phase(ctx2, games);
         }
     });
 }
 
 /// The learning-dynamics sub-game: matching pennies, then the coordination
-/// game, each under its own span on the virtual timeline.
-fn learning_phase(w: &mut GameWorld, ctx: &mut Ctx<GameWorld>) {
+/// game, each under its own span on the virtual timeline; the chain
+/// settles when the coordination span closes.
+fn learning_phase(ctx: &mut Ctx<Settled<Games>>, mut games: Games) {
     ctx.span_enter("e14.learning", Some("society"), &[("game", "matching-pennies")]);
-    w.fp_error = Some(matching_pennies_error(20_000));
-    let settle = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-    ctx.schedule_in(settle, move |w2: &mut GameWorld, ctx2| {
-        ctx2.span_exit(&[("error", &format!("{:.3}", w2.fp_error.unwrap_or(1.0)))]);
+    games.fp_error = matching_pennies_error(20_000);
+    let settle = lag(ctx);
+    ctx.schedule_in(settle, move |_, ctx2| {
+        ctx2.span_exit(&[("error", &format!("{:.3}", games.fp_error))]);
         ctx2.span_enter("e14.learning", Some("society"), &[("game", "coordination")]);
         let g = Game::coordination(vec![1.0, 3.0]);
         let mut fp = FictitiousPlay::new(g.clone());
         fp.run(5_000);
         let x = fp.row_empirical();
         let y = fp.col_empirical();
-        let nash = is_nash(&g, &x, &y, 0.05);
-        w2.coord = Some((x[1], nash));
-        let settle2 = SimTime::from_micros(ctx2.rng.range(100..5_000u64));
-        ctx2.schedule_in(settle2, move |w3: &mut GameWorld, ctx3| {
-            ctx3.span_exit(&[("dominant_mass", &format!("{:.3}", w3.coord.map_or(0.0, |c| c.0)))]);
+        games.coord = (x[1], is_nash(&g, &x, &y, 0.05));
+        let settle2 = lag(ctx2);
+        ctx2.schedule_in(settle2, move |w3, ctx3| {
+            ctx3.span_exit(&[("dominant_mass", &format!("{:.3}", games.coord.0))]);
             ctx3.trace("e14.settled", "all three sub-games settled");
+            w3.put(0, games);
         });
     });
 }
@@ -127,33 +131,23 @@ fn learning_phase(w: &mut GameWorld, ctx: &mut Ctx<GameWorld>) {
 /// (`tests/golden/E14.collapsed`) shows the spans in phase order with real
 /// virtual-time widths.
 pub fn run(seed: u64) -> ExperimentReport {
-    let mut eng = Engine::new(GameWorld::default(), seed);
-    // The Vickrey phase is the chain's root injection.
-    eng.schedule_at(SimTime::ZERO, move |w: &mut GameWorld, ctx| {
+    let mut games = replay(seed, [()], |_, ctx, _, ()| {
         ctx.span_enter("e14.vickrey", Some("provider"), &[("trials", &TRIALS.to_string())]);
-        let v = vickrey_deviations(TRIALS, ctx.rng);
-        w.violations = Some(v);
-        let settle = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-        ctx.trace_fields(
+        let violations = vickrey_deviations(TRIALS, ctx.rng);
+        let settle = pace(
+            ctx,
             "e14.audited",
-            Some("provider"),
-            &[("violations", &v.to_string()), ("lag_us", &settle.as_micros().to_string())],
-            format!("{v} profitable deviations in {TRIALS} sampled profiles"),
+            "provider",
+            &[("violations", &violations.to_string())],
+            format!("{violations} profitable deviations in {TRIALS} sampled profiles"),
         );
-        ctx.schedule_in(settle, move |w2: &mut GameWorld, ctx2| {
-            ctx2.span_exit(&[("violations", &w2.violations.unwrap_or(0).to_string())]);
-            pressure_level(w2, ctx2, 0);
+        ctx.schedule_in(settle, move |_, ctx2| {
+            ctx2.span_exit(&[("violations", &violations.to_string())]);
+            pressure_level(ctx2, Games { violations, ..Games::default() });
         });
     });
-    eng.run_to_completion();
-
-    let trials = TRIALS;
-    let violations = eng.world.violations.expect("the Vickrey phase settles");
-    let pressures = PRESSURES;
-    let defection = eng.world.defection;
-    assert_eq!(defection.len(), pressures.len(), "every pressure level settles");
-    let fp_error = eng.world.fp_error.expect("matching pennies settles");
-    let coord = eng.world.coord.expect("the coordination game settles");
+    let Games { violations, defection, fp_error, coord } = games.remove(0);
+    let (trials, pressures) = (TRIALS, PRESSURES);
 
     let mut table = Table::new("Game-theoretic substrate checks", &["metric", "value"]);
     table.push_row(

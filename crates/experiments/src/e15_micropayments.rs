@@ -14,10 +14,11 @@
 //! instrument is viable — which is why sub-cent content is sold in
 //! bundles, not per item.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{ExperimentReport, Table};
 use tussle_econ::payments::{best_instrument, viable, Instrument};
 use tussle_econ::Money;
-use tussle_sim::{Ctx, Engine, SimTime};
+use tussle_sim::Ctx;
 
 /// Outcome at one payment size.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,30 +58,29 @@ const SIZES: [Money; 6] = [
     Money(100_000_000), // $100
 ];
 
-/// World for the engine-driven replay: points settle in size order.
-#[derive(Default)]
-struct PaymentWorld {
-    points: Vec<PaymentPoint>,
-}
+/// E15's replay world: the one chain's points, in size order.
+type Sweep = Settled<Vec<PaymentPoint>>;
 
-/// One payment size as an engine event, chaining up-market to the next.
-fn run_size(w: &mut PaymentWorld, ctx: &mut Ctx<PaymentWorld>, idx: usize) {
+/// One payment size as an engine event, chaining up-market to the next;
+/// the largest size settles the sweep's `points`.
+fn run_size(w: &mut Sweep, ctx: &mut Ctx<Sweep>, mut points: Vec<PaymentPoint>) {
+    let idx = points.len();
     let amount = SIZES[idx];
     ctx.span_enter("e15.size", Some("provider"), &[("amount", &amount.to_string())]);
     let p = run_point(amount);
     ctx.span_exit(&[("winner", &format!("{:?}", p.winner_protected))]);
-    w.points.push(p);
+    points.push(p);
     if idx + 1 < SIZES.len() {
-        let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-        ctx.trace_fields(
+        let lag = pace(
+            ctx,
             "e15.upmarket",
-            Some("provider"),
-            &[("lag_us", &lag.as_micros().to_string())],
+            "provider",
+            &[],
             format!("{amount} settled; the market moves up a size band"),
         );
-        ctx.schedule_in(lag, move |w2: &mut PaymentWorld, ctx2| {
-            run_size(w2, ctx2, idx + 1);
-        });
+        ctx.schedule_in(lag, move |w2, ctx2| run_size(w2, ctx2, points));
+    } else {
+        w.put(0, points);
     }
 }
 
@@ -88,19 +88,12 @@ fn run_size(w: &mut PaymentWorld, ctx: &mut Ctx<PaymentWorld>, idx: usize) {
 /// size sweep runs as one causal chain of engine events on the shared
 /// clock, smallest payment first.
 pub fn run(seed: u64) -> ExperimentReport {
-    let mut eng = Engine::new(PaymentWorld::default(), seed);
-    // The smallest size opens the chain as its root injection.
-    eng.schedule_at(SimTime::ZERO, |w: &mut PaymentWorld, ctx| {
-        run_size(w, ctx, 0);
-    });
-    eng.run_to_completion();
+    let points = replay(seed, [()], |w, ctx, _, ()| run_size(w, ctx, Vec::new())).remove(0);
 
     let mut table = Table::new(
         "Best payment instrument by transaction size",
         &["protected winner", "unprotected winner", "overhead ratio", "viable at all"],
     );
-    let points = eng.world.points;
-    assert_eq!(points.len(), SIZES.len(), "every size band settles");
     for p in &points {
         table.push_row(
             &p.amount.to_string(),

@@ -14,9 +14,10 @@
 //! contrast case is the CDN/cache architecture, whose benefit is
 //! unilateral — and which is what the market actually built.
 
+use crate::chain::{pace, replay, Settled};
 use tussle_core::{ExperimentReport, Table};
 use tussle_econ::Money;
-use tussle_sim::{Engine, SimRng, SimTime};
+use tussle_sim::SimRng;
 
 /// How a technology's benefit accrues to a deployer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,55 +141,33 @@ pub fn scenarios() -> Vec<DeploymentScenario> {
     ]
 }
 
-/// World for the engine-driven replay: settled outcomes keyed by label.
-#[derive(Default)]
-struct DeployWorld {
-    outcomes: Vec<(&'static str, DeploymentOutcome)>,
-}
-
 /// Run E16 and produce the report. The best-response dynamics are pure;
 /// each scenario plays as a two-event causal chain (the standards moment,
 /// then — after a seeded roll-out lag — the market settles) on the shared
 /// engine clock.
 pub fn run(seed: u64) -> ExperimentReport {
-    let mut eng = Engine::new(DeployWorld::default(), seed);
-    for (i, s) in scenarios().into_iter().enumerate() {
-        // Each deployment scenario is a root injection.
-        eng.schedule_at(SimTime::from_millis(i as u64), move |_w: &mut DeployWorld, ctx| {
-            ctx.span_enter("e16.standards", Some("isp"), &[("scenario", s.label)]);
-            let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-            ctx.trace_fields(
-                "e16.rollout",
-                Some("isp"),
-                &[("lag_us", &lag.as_micros().to_string())],
-                format!("{}: the deployment game begins", s.label),
-            );
-            ctx.span_exit(&[]);
-            ctx.schedule_in(lag, move |w2: &mut DeployWorld, ctx2| {
-                ctx2.span_enter("e16.dynamics", Some("isp"), &[("scenario", s.label)]);
-                let o = run_scenario(&s, seed);
-                ctx2.span_exit(&[("deployed", &format!("{:.2}", o.deployed))]);
-                w2.outcomes.push((s.label, o));
-            });
+    let outcomes = replay(seed, scenarios(), move |_, ctx, i, s| {
+        ctx.span_enter("e16.standards", Some("isp"), &[("scenario", s.label)]);
+        let lag = pace(
+            ctx,
+            "e16.rollout",
+            "isp",
+            &[],
+            format!("{}: the deployment game begins", s.label),
+        );
+        ctx.span_exit(&[]);
+        ctx.schedule_in(lag, move |w2: &mut Settled<DeploymentOutcome>, ctx2| {
+            ctx2.span_enter("e16.dynamics", Some("isp"), &[("scenario", s.label)]);
+            let o = run_scenario(&s, seed);
+            ctx2.span_exit(&[("deployed", &format!("{:.2}", o.deployed))]);
+            w2.put(i, o);
         });
-    }
-    eng.run_to_completion();
+    });
 
     let mut table = Table::new(
         "Multicast vs. CDN deployment dynamics (20 ISPs, cost $60-$120, benefit $150 if paid)",
         &["final deployment", "stable equilibrium"],
     );
-    let outcomes: Vec<DeploymentOutcome> = scenarios()
-        .iter()
-        .map(|s| {
-            eng.world
-                .outcomes
-                .iter()
-                .find(|(l, _)| *l == s.label)
-                .map(|(_, o)| o.clone())
-                .expect("every scenario settles")
-        })
-        .collect();
     for (s, o) in scenarios().iter().zip(&outcomes) {
         table.push_row(s.label, &[format!("{:.2}", o.deployed), o.stable.to_string()]);
     }

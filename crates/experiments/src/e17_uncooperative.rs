@@ -21,6 +21,7 @@
 //!    is traced to its ingress router via probabilistic marking (Savage's
 //!    move), even though the source addresses are lies.
 
+use crate::chain::{pace, replay, Settled};
 use std::collections::BTreeMap;
 use tussle_core::{ExperimentReport, Table};
 use tussle_net::addr::{Address, AddressOrigin, Asn, Prefix};
@@ -29,7 +30,7 @@ use tussle_net::packet::{ports, Packet, Protocol};
 use tussle_net::traceback::TracebackCollector;
 use tussle_net::{Network, NodeId};
 use tussle_routing::LinkStateProtocol;
-use tussle_sim::{Ctx, Engine, SimRng, SimTime};
+use tussle_sim::{Ctx, SimRng, SimTime};
 
 /// Outcome of one phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,20 +197,16 @@ pub fn phase_traceback(seed: u64) -> (Option<NodeId>, NodeId) {
     (collector.nearest_to_attacker(30), d.routers[0])
 }
 
-/// World for the engine-driven replay: the four phases' results.
-#[derive(Default)]
-struct ByzantineWorld {
-    base: Option<PhaseOutcome>,
-    attack: Option<PhaseOutcome>,
-    resist: Option<PhaseOutcome>,
-    traceback: Option<(Option<NodeId>, NodeId)>,
-}
+/// E17's replay world. Its one chain settles the three probe phases in
+/// order, then the traceback's `(traced, true ingress)`.
+type Story = Settled<(Vec<PhaseOutcome>, (Option<NodeId>, NodeId))>;
 
 /// One phase of the byzantine story as an engine event, chaining to the
 /// next phase after a seeded operational lag. The phases are genuinely
 /// causal: the attack answers the baseline, exclusion answers the attack,
 /// and the traceback hunts the flood the attacker launches in retreat.
-fn run_phase(w: &mut ByzantineWorld, ctx: &mut Ctx<ByzantineWorld>, phase: usize, seed: u64) {
+fn run_phase(w: &mut Story, ctx: &mut Ctx<Story>, seed: u64, mut phases: Vec<PhaseOutcome>) {
+    let phase = phases.len();
     let (topic, actor) = match phase {
         0 => ("e17.baseline", "isp"),
         1 => ("e17.attack", "attacker"),
@@ -217,52 +214,39 @@ fn run_phase(w: &mut ByzantineWorld, ctx: &mut Ctx<ByzantineWorld>, phase: usize
         _ => ("e17.traceback", "isp"),
     };
     ctx.span_enter(topic, Some(actor), &[("phase", &phase.to_string())]);
-    match phase {
-        0 => w.base = Some(phase_baseline(seed)),
-        1 => w.attack = Some(phase_attack(seed)),
-        2 => w.resist = Some(phase_resistant(seed)),
-        _ => w.traceback = Some(phase_traceback(seed)),
-    }
-    ctx.span_exit(&[]);
-    if phase + 1 < 4 {
-        let lag = SimTime::from_micros(ctx.rng.range(100..5_000u64));
-        ctx.trace_fields(
-            topic,
-            Some(actor),
-            &[("lag_us", &lag.as_micros().to_string())],
-            format!("phase {phase} concludes; the response follows"),
-        );
-        ctx.schedule_in(lag, move |w2: &mut ByzantineWorld, ctx2| {
-            run_phase(w2, ctx2, phase + 1, seed);
+    if phase < 3 {
+        phases.push(match phase {
+            0 => phase_baseline(seed),
+            1 => phase_attack(seed),
+            _ => phase_resistant(seed),
         });
+        ctx.span_exit(&[]);
+        let lag =
+            pace(ctx, topic, actor, &[], format!("phase {phase} concludes; the response follows"));
+        ctx.schedule_in(lag, move |w2, ctx2| run_phase(w2, ctx2, seed, phases));
     } else {
+        let traceback = phase_traceback(seed);
+        ctx.span_exit(&[]);
         ctx.trace("e17.settled", "the uncooperative-network story concludes");
+        w.put(0, (phases, traceback));
     }
 }
 
 /// Run E17 and produce the report. The four phases run as one sequential
 /// causal chain of engine events on the shared clock.
 pub fn run(seed: u64) -> ExperimentReport {
-    let mut eng = Engine::new(ByzantineWorld::default(), seed);
-    // The cooperative baseline opens the chain as its root injection.
-    eng.schedule_at(SimTime::ZERO, move |w: &mut ByzantineWorld, ctx| {
-        run_phase(w, ctx, 0, seed);
-    });
-    eng.run_to_completion();
-
-    let base = eng.world.base.expect("the baseline settles");
-    let attack = eng.world.attack.expect("the attack settles");
-    let resist = eng.world.resist.expect("the exclusion settles");
-    let (traced, ingress) = eng.world.traceback.expect("the traceback settles");
+    let (phases, (traced, ingress)) =
+        replay(seed, [()], move |w, ctx, _, ()| run_phase(w, ctx, seed, Vec::new())).remove(0);
+    let (base, attack, resist) = (&phases[0], &phases[1], &phases[2]);
 
     let mut table = Table::new(
         "One link-state domain, one byzantine router (100 probes per phase)",
         &["delivery", "prime suspect"],
     );
     for (label, o) in [
-        ("cooperative baseline", &base),
-        ("blackhole attack", &attack),
-        ("after exclusion (Perlman)", &resist),
+        ("cooperative baseline", base),
+        ("blackhole attack", attack),
+        ("after exclusion (Perlman)", resist),
     ] {
         table.push_row(
             label,

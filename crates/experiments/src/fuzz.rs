@@ -636,7 +636,7 @@ fn run_offline_elements(s: &Scenario) -> Vec<Violation> {
                     .map(|id| Consumer {
                         id,
                         value: Money::from_dollars(rng.range(20..=80i64)),
-                        usage_mb: rng.range(100..5_000u64),
+                        usage_mb: rng.range(100u64..5_000),
                         runs_server: rng.chance(0.2),
                         tunnels: rng.chance(0.3),
                         switching_cost: Money::from_dollars(rng.range(0..=40i64)),

@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod causality;
+mod chain;
 pub mod chaos;
 pub mod e01_lockin;
 pub mod e02_value_pricing;

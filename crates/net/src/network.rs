@@ -17,7 +17,6 @@ use crate::table::Fib;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::OnceLock;
 use tussle_sim::{FaultOutcome, Fnv1a, RunDigest, SimRng, SimTime, Snapshottable};
 
 /// Why a packet did not arrive.
@@ -149,17 +148,6 @@ struct RouteCache {
     queue: VecDeque<NodeId>,
 }
 
-/// Ambient kill switch: `TUSSLE_ROUTE_CACHE=off|0|false` force-disables the
-/// route cache process-wide, for digest-equivalence audits (ci.sh runs one).
-fn ambient_route_cache_enabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    !*DISABLED.get_or_init(|| {
-        std::env::var("TUSSLE_ROUTE_CACHE")
-            .map(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"))
-            .unwrap_or(false)
-    })
-}
-
 /// A complete simulated network.
 #[derive(Debug, Default)]
 pub struct Network {
@@ -186,7 +174,7 @@ pub struct Network {
     /// worker owns its world), so a `RefCell` suffices.
     route_cache: RefCell<RouteCache>,
     /// Per-instance switch for the route cache (see
-    /// [`Network::set_route_caching`]). The ambient env kill switch wins.
+    /// [`Network::set_route_caching`]).
     route_cache_enabled: bool,
 }
 
@@ -205,15 +193,9 @@ impl Network {
 
     /// Enable or disable the next-hop route cache for this instance
     /// (default: enabled). Disabling makes every [`Network::next_hop_toward`]
-    /// call run a fresh BFS — the oracle arm of the equivalence tests. The
-    /// `TUSSLE_ROUTE_CACHE=off` environment variable disables it
-    /// process-wide regardless of this setting.
+    /// call run a fresh BFS — the oracle arm of the equivalence tests.
     pub fn set_route_caching(&mut self, enabled: bool) {
         self.route_cache_enabled = enabled;
-    }
-
-    fn route_caching_active(&self) -> bool {
-        self.route_cache_enabled && ambient_route_cache_enabled()
     }
 
     fn bump_generation(&mut self) {
@@ -471,7 +453,7 @@ impl Network {
         if from == target {
             return Some(target);
         }
-        if !self.route_caching_active() {
+        if !self.route_cache_enabled {
             let mut prev = Vec::new();
             let mut queue = VecDeque::new();
             return self.bfs_first_hop(from, target, &mut prev, &mut queue);
